@@ -19,9 +19,6 @@ const NLTCS_CORPUS_SEED: u64 = 8;
 
 /// Server request-handler threads in every workload.
 pub const SERVER_WORKERS: usize = 2;
-/// How many times each workload builds its set-up; `setup_s` is the
-/// median, and the last build is the one measured.
-pub const SETUP_REPEATS: usize = 3;
 
 /// The synthetic Adult table with `n` rows.
 pub fn adult_corpus(n: usize) -> Dataset {
@@ -166,12 +163,12 @@ impl Drop for Running {
     }
 }
 
-/// Runs `build` [`SETUP_REPEATS`] times, dropping all but the last result,
-/// and returns it with the median build time in seconds.
-pub fn repeated_setup<T>(mut build: impl FnMut() -> T) -> (T, f64) {
-    let mut times = Vec::with_capacity(SETUP_REPEATS);
+/// Runs `build` `repeats` times, dropping all but the last result, and
+/// returns it with the median build time in seconds.
+pub fn repeated_setup<T>(repeats: usize, mut build: impl FnMut() -> T) -> (T, f64) {
+    let mut times = Vec::with_capacity(repeats);
     let mut kept = None;
-    for _ in 0..SETUP_REPEATS {
+    for _ in 0..repeats {
         drop(kept.take());
         let started = Instant::now();
         kept = Some(build());
@@ -194,16 +191,17 @@ pub fn git_commit() -> String {
     }
 }
 
-/// How often each client thread times the probe between its ops.
+/// How often the tracer times the probe between replayed ops.
 pub const PROBE_EVERY: Duration = Duration::from_millis(100);
 
 /// The host-speed probe: a fixed piece of benchmark-owned work (formatting
 /// numbers into a growing string, dependent random reads over a table
 /// larger than L2, integer arithmetic) that calls nothing in the program
-/// under test. Client threads time it between their ops, so it runs under
-/// the same host conditions as the ops: a slower host, or a slower
-/// placement of the threads on its cores, slows both. End-to-end latencies
-/// are reported in units of the run's median probe time.
+/// under test. A workload times it only in quiet windows, while no request
+/// or refit is in flight, so it measures the host and nothing of the
+/// program: a slower host slows both it and the ops, a slower program only
+/// the ops. End-to-end latencies are reported in units of the run's median
+/// probe time.
 pub struct Probe {
     table: Vec<u32>,
     samples: Vec<f64>,
@@ -217,11 +215,26 @@ impl Probe {
         Self { table, samples: Vec::new(), last: None }
     }
 
+    /// Times the probe `reps` times back to back, after one untimed pass
+    /// that brings its table back into the caches: the timings measure
+    /// the host, not what the previous op left in the caches.
+    pub fn time(&mut self, reps: usize) {
+        self.once();
+        for _ in 0..reps {
+            let ms = self.once();
+            self.samples.push(ms);
+        }
+    }
+
     /// Times the probe once if [`PROBE_EVERY`] has passed since the last.
     pub fn tick(&mut self) {
-        if self.last.is_some_and(|t| t.elapsed() < PROBE_EVERY) {
-            return;
+        if !self.last.is_some_and(|t| t.elapsed() < PROBE_EVERY) {
+            self.time(1);
         }
+    }
+
+    /// Runs the probe once and returns its time in milliseconds.
+    fn once(&mut self) -> f64 {
         let started = Instant::now();
         let mut text = String::new();
         for i in 0..20_000u32 {
@@ -237,8 +250,8 @@ impl Probe {
             x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(i ^ (x >> 7));
         }
         std::hint::black_box((x, text));
-        self.samples.push(started.elapsed().as_secs_f64() * 1e3);
         self.last = Some(Instant::now());
+        started.elapsed().as_secs_f64() * 1e3
     }
 
     pub fn samples(&self) -> &[f64] {

@@ -19,8 +19,8 @@ use privbayes_server::{BudgetLedger, ModelRegistry, ServerConfig};
 use privbayes_synth::{fit_method, FitSettings, Method};
 
 use crate::common::{
-    adult_corpus, csv_bytes, fit_threads, nltcs_corpus, repeated_setup, Draw, Probe, Running,
-    Workdir, ADULT_ROWS,
+    adult_corpus, csv_bytes, digest, fit_threads, nltcs_corpus, peak_rss_mb, repeated_setup, Draw,
+    Probe, Running, Workdir, ADULT_ROWS,
 };
 use crate::http::Conn;
 use crate::replay::{self, Structure};
@@ -34,6 +34,8 @@ const UPLOAD_ROWS: usize = 2_000;
 const EPSILON: f64 = 1.0;
 /// 20 rotations leave ten samples beyond each median.
 const MIN_ROTATIONS: usize = 20;
+/// Set-up builds per run; `setup_s` is their median.
+pub const SETUP_REPEATS: usize = 5;
 const NLTCS_K: usize = 3;
 
 #[derive(Clone, Copy, PartialEq)]
@@ -43,18 +45,30 @@ enum Kind {
     Nltcs,
 }
 
+/// One op's inputs, drawn from the workload seed and the rotation alone,
+/// so the checks and the replay draw them again rather than keep them.
+struct Input {
+    kind: Kind,
+    model_id: String,
+    seed: u64,
+    tenant: String,
+    /// An upload's `POST /fit` body and the CSV inside it.
+    upload: Option<(String, String)>,
+}
+
 struct Done {
     kind: Kind,
+    rotation: usize,
     model_id: String,
     seed: u64,
     ms: f64,
     ttfb_ms: f64,
     ok: bool,
-    /// The artifact the op published (publish ops) or the body it posted
-    /// (uploads).
-    sent: String,
-    /// The CSV inside an upload's body.
-    csv: String,
+    /// Digest of the artifact the op published (publish ops) or the body
+    /// it posted (uploads).
+    sent: u64,
+    /// Digest of the artifact the server registered under the op's id.
+    registered: Option<u64>,
     tenant: String,
 }
 
@@ -113,6 +127,32 @@ fn upload_settings(tenant: &str) -> FitSettings {
 }
 
 impl Setup {
+    /// The three ops of rotation `rotation`, in the order they run.
+    fn rotation(&self, seed: u64, rotation: usize) -> [Input; 3] {
+        let mut draw = Draw::new(seed, rotation as u64);
+        [Kind::Adult, Kind::Nltcs, Kind::Upload].map(|kind| {
+            let op_seed = draw.next() >> 32;
+            let (model_id, tenant) = match kind {
+                Kind::Adult => (format!("adult-{rotation}"), String::new()),
+                Kind::Nltcs => (format!("nltcs-{rotation}"), String::new()),
+                Kind::Upload => (format!("upload-{rotation}"), tenant(draw.below(TENANTS))),
+            };
+            let upload = (kind == Kind::Upload)
+                .then(|| self.upload_body(&mut draw, &model_id, &tenant, op_seed));
+            Input { kind, model_id, seed: op_seed, tenant, upload }
+        })
+    }
+
+    /// The inputs of the op `d` ran, drawn again.
+    fn input(&self, seed: u64, d: &Done) -> Input {
+        let [adult, nltcs, upload] = self.rotation(seed, d.rotation);
+        match d.kind {
+            Kind::Adult => adult,
+            Kind::Nltcs => nltcs,
+            Kind::Upload => upload,
+        }
+    }
+
     /// A `POST /fit` body over `UPLOAD_ROWS` Adult rows drawn by `draw`,
     /// and the CSV inside it.
     fn upload_body(
@@ -169,7 +209,7 @@ impl Setup {
 }
 
 pub fn run(seed: u64, seconds: f64, traced: bool) -> Outcome {
-    let (setup, setup_s) = repeated_setup(build);
+    let (setup, setup_s) = repeated_setup(SETUP_REPEATS, build);
     let mut outcome = Outcome::default();
     outcome.e2e("setup_s", setup_s);
     let addr = setup.running.addr();
@@ -179,42 +219,57 @@ pub fn run(seed: u64, seconds: f64, traced: bool) -> Outcome {
     let mut done: Vec<Done> = Vec::new();
     let mut rotation = 0;
     let mut probe = Probe::new();
+    let registry = &setup.running.registry;
     while rotation < MIN_ROTATIONS || started.elapsed().as_secs_f64() < seconds {
-        let mut draw = Draw::new(seed, rotation as u64);
-        for kind in [Kind::Adult, Kind::Nltcs, Kind::Upload] {
-            probe.tick();
-            let op_seed = draw.next() >> 32;
-            let (model_id, tenant) = match kind {
-                Kind::Adult => (format!("adult-{rotation}"), String::new()),
-                Kind::Nltcs => (format!("nltcs-{rotation}"), String::new()),
-                Kind::Upload => (format!("upload-{rotation}"), tenant(draw.below(TENANTS))),
-            };
-            let mut csv = String::new();
-            let (ms, ttfb_ms, ok, sent) = if kind == Kind::Upload {
-                let body;
-                (body, csv) = setup.upload_body(&mut draw, &model_id, &tenant, op_seed);
+        for input in setup.rotation(seed, rotation) {
+            // Between ops the one client waits for nothing and the server
+            // is idle: a quiet window.
+            probe.time(1);
+            let Input { kind, model_id, seed: op_seed, tenant, upload } = input;
+            let (ms, ttfb_ms, ok, sent) = if let Some((body, _)) = upload {
+                let sent = digest(body.as_bytes());
                 match conn.send("POST", "/fit", body.as_bytes()) {
                     Ok(reply) => (
                         reply.elapsed.as_secs_f64() * 1e3,
                         reply.ttfb.as_secs_f64() * 1e3,
                         reply.code == 201,
-                        body,
+                        sent,
                     ),
                     Err(_) => {
                         conn = Conn::open(addr).expect("reconnect to the benchmark server");
-                        (FAILED_MS, FAILED_MS, false, body)
+                        (FAILED_MS, FAILED_MS, false, sent)
                     }
                 }
             } else {
                 let (ms, ok, json) = setup.publish(&mut conn, kind, &model_id, op_seed);
-                (ms, ms, ok, json)
+                (ms, ms, ok, digest(json.as_bytes()))
             };
             let (ms, ttfb_ms) = if ok { (ms, ttfb_ms) } else { (FAILED_MS, FAILED_MS) };
-            done.push(Done { kind, model_id, seed: op_seed, ms, ttfb_ms, ok, sent, csv, tenant });
+            // Keep the digest of what the server registered and evict the
+            // model: the registry, and the memory it holds, stay the same
+            // size however many rotations the host's speed lets a run fit.
+            let registered = registry
+                .get(&model_id)
+                .and_then(|e| e.artifact.to_json_string().ok())
+                .map(|json| digest(json.as_bytes()));
+            let _ = registry.evict(&model_id);
+            done.push(Done {
+                kind,
+                rotation,
+                model_id,
+                seed: op_seed,
+                ms,
+                ttfb_ms,
+                ok,
+                sent,
+                registered,
+                tenant,
+            });
         }
         rotation += 1;
     }
     let wall = started.elapsed();
+    outcome.e2e("peak_rss_mb", peak_rss_mb());
     let delta = before.map(|b| Delta::new(b, scrape(addr)));
 
     let ms =
@@ -239,11 +294,11 @@ pub fn run(seed: u64, seconds: f64, traced: bool) -> Outcome {
     outcome.fact("rotations", rotation);
     outcome.fact("measured_s", format!("{:.3}", wall.as_secs_f64()));
 
-    verify(&setup, &done, &mut outcome);
+    verify(&setup, seed, &done, &mut outcome);
     if let Some(delta) = delta {
         let all: Vec<f64> = done.iter().map(|d| d.ms).collect();
         delta.record(&mut outcome, mean(&all));
-        trace(&setup, &done, &mut outcome, probe_ms);
+        trace(&setup, seed, &done, &mut outcome, probe_ms);
     }
     outcome
 }
@@ -251,25 +306,32 @@ pub fn run(seed: u64, seconds: f64, traced: bool) -> Outcome {
 /// The correctness gates: each published artifact is what the server
 /// registered; each upload's artifact equals `fit_method` run on the same
 /// CSV and seed; every upload charged its tenant exactly once.
-fn verify(setup: &Setup, done: &[Done], outcome: &mut Outcome) {
-    let registry = &setup.running.registry;
-    let registered = |id: &str| registry.get(id).and_then(|e| e.artifact.to_json_string().ok());
+fn verify(setup: &Setup, seed: u64, done: &[Done], outcome: &mut Outcome) {
     let mut uploads = 0.0;
     for d in done.iter().filter(|d| d.ok) {
         let expected = match d.kind {
-            Kind::Adult | Kind::Nltcs => d.sent.clone(),
+            Kind::Adult | Kind::Nltcs => d.sent,
             Kind::Upload => {
                 uploads += EPSILON;
+                let input = setup.input(seed, d);
+                let (_, csv) = input.upload.expect("an upload has a body");
                 let data =
-                    read_csv(setup.adult.schema(), d.csv.as_bytes()).expect("upload CSV reads");
-                fit_method(Method::PrivBayes, &data, EPSILON, d.seed, &upload_settings(&d.tenant))
-                    .expect("fit the upload locally")
-                    .artifact
-                    .to_json_string()
-                    .expect("an artifact renders")
+                    read_csv(setup.adult.schema(), csv.as_bytes()).expect("upload CSV reads");
+                let json = fit_method(
+                    Method::PrivBayes,
+                    &data,
+                    EPSILON,
+                    d.seed,
+                    &upload_settings(&d.tenant),
+                )
+                .expect("fit the upload locally")
+                .artifact
+                .to_json_string()
+                .expect("an artifact renders");
+                digest(json.as_bytes())
             }
         };
-        outcome.gate(registered(&d.model_id).as_deref() == Some(expected.as_str()), || {
+        outcome.gate(d.registered == Some(expected), || {
             format!("model `{}` differs from the artifact fitted from the same input", d.model_id)
         });
     }
@@ -281,7 +343,7 @@ fn verify(setup: &Setup, done: &[Done], outcome: &mut Outcome) {
 /// count engine, greedy structure learning, noisy conditionals, the alias
 /// compile, the JSON writer and parser, and a ledger charge on a persisted
 /// ledger holding the workload's 1,000 tenants.
-fn trace(setup: &Setup, done: &[Done], outcome: &mut Outcome, probe_ms: f64) {
+fn trace(setup: &Setup, seed: u64, done: &[Done], outcome: &mut Outcome, probe_ms: f64) {
     let work = Workdir::new("fit-publish-replay");
     let ledger =
         BudgetLedger::with_persistence(work.path().join("ledger.json")).expect("open the ledger");
@@ -308,9 +370,10 @@ fn trace(setup: &Setup, done: &[Done], outcome: &mut Outcome, probe_ms: f64) {
         };
         let op = tracer.begin_op(id as u64, root);
         let (data, settings) = if d.kind == Kind::Upload {
-            parsed_bytes += d.sent.len();
+            let (sent, _) = setup.input(seed, d).upload.expect("an upload has a body");
+            parsed_bytes += sent.len();
             let body =
-                tracer.layer(&op, "model.json.parse", || Json::parse(&d.sent)).expect("valid body");
+                tracer.layer(&op, "model.json.parse", || Json::parse(&sent)).expect("valid body");
             let schema = schema_from_json(body.get("schema").expect("body has a schema"))
                 .expect("valid schema");
             let csv = body.get("csv").and_then(Json::as_str).expect("body has csv");
@@ -347,9 +410,7 @@ fn trace(setup: &Setup, done: &[Done], outcome: &mut Outcome, probe_ms: f64) {
             tracer.layer(&op, "model.json.parse", || Json::parse(&json)).expect("valid artifact");
         }
         tracer.end_op(op);
-        let served =
-            setup.running.registry.get(&d.model_id).and_then(|e| e.artifact.to_json_string().ok());
-        outcome.gate(served.as_deref() == Some(json.as_str()), || {
+        outcome.gate(d.registered == Some(digest(json.as_bytes())), || {
             format!("replay of `{}` differs from the registered artifact", d.model_id)
         });
     }

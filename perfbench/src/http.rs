@@ -32,35 +32,26 @@ impl Reply {
     }
 }
 
-/// A kept-alive connection. After `per_connection` requests, or when the
-/// server answers `Connection: close` (it caps requests per connection),
-/// the next request reconnects, and the connect time counts toward that
-/// request. A request that fails at the socket level leaves the connection
-/// unusable; callers open a new one.
+/// A connection kept alive as long as the server allows. When the server
+/// answers `Connection: close` (it caps requests per connection), the next
+/// request reconnects, and the connect time counts toward that request. A
+/// request that fails at the socket level leaves the connection unusable;
+/// callers open a new one. Dropping the connection closes it.
 pub struct Conn {
     addr: SocketAddr,
     reader: BufReader<TcpStream>,
     writer: TcpStream,
-    per_connection: usize,
-    sent: usize,
     closed: bool,
 }
 
 impl Conn {
-    /// A connection that is kept alive as long as the server allows.
     pub fn open(addr: SocketAddr) -> std::io::Result<Self> {
-        Self::open_rotating(addr, usize::MAX)
-    }
-
-    /// A connection the client itself closes after `per_connection`
-    /// requests, reconnecting on the next.
-    pub fn open_rotating(addr: SocketAddr, per_connection: usize) -> std::io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(Duration::from_secs(120)))?;
         let writer = stream.try_clone()?;
         let reader = BufReader::with_capacity(64 << 10, stream);
-        Ok(Self { addr, reader, writer, per_connection, sent: 0, closed: false })
+        Ok(Self { addr, reader, writer, closed: false })
     }
 
     /// Sends one request on the kept-alive connection and reads the whole
@@ -68,14 +59,11 @@ impl Conn {
     pub fn send(&mut self, method: &str, path: &str, body: &[u8]) -> std::io::Result<Reply> {
         let started = Instant::now();
         if self.closed {
-            *self = Self::open_rotating(self.addr, self.per_connection)?;
+            *self = Self::open(self.addr)?;
         }
-        self.sent += 1;
-        let last = self.sent == self.per_connection;
         let head = format!(
-            "{method} {path} HTTP/1.1\r\nHost: bench\r\nConnection: {}\r\n\
+            "{method} {path} HTTP/1.1\r\nHost: bench\r\nConnection: keep-alive\r\n\
              Content-Type: application/json\r\nContent-Length: {}\r\n\r\n",
-            if last { "close" } else { "keep-alive" },
             body.len()
         );
         self.writer.write_all(head.as_bytes())?;
@@ -123,7 +111,7 @@ impl Conn {
             out.resize(len, 0);
             self.reader.read_exact(&mut out)?;
         }
-        self.closed = last || find("connection").is_some_and(|v| v.eq_ignore_ascii_case("close"));
+        self.closed = find("connection").is_some_and(|v| v.eq_ignore_ascii_case("close"));
         Ok(Reply { code, headers, body: out, ttfb, elapsed: started.elapsed() })
     }
 }

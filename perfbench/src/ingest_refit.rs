@@ -26,7 +26,8 @@ use privbayes_server::{
 use privbayes_synth::{fit_method, FitSettings, Method};
 
 use crate::common::{
-    adult_corpus, csv_bytes, digest, fit_threads, repeated_setup, Draw, Probe, Running, Workdir,
+    adult_corpus, csv_bytes, digest, fit_threads, peak_rss_mb, repeated_setup, Draw, Probe,
+    Running, Workdir,
 };
 use crate::fit_publish::record_engine;
 use crate::http::Conn;
@@ -46,6 +47,12 @@ const REFIT_STALENESS: Duration = Duration::from_secs(5);
 const SYNTH_ROWS: usize = 10_000;
 const EPSILON: f64 = 1.0;
 const SERVABLE_TIMEOUT: Duration = Duration::from_secs(60);
+/// Set-up builds per run; `setup_s` is their median. The set-up is short,
+/// so it takes many to give a steady median.
+pub const SETUP_REPEATS: usize = 11;
+/// Probe timings in each quiet window, before the first batch and after
+/// the cycle's last generation is servable.
+const QUIET_PROBES: usize = 40;
 
 struct Setup {
     // Field order is drop order: the server stops before its journal and
@@ -105,7 +112,7 @@ struct Cycle {
     model: String,
     batches: Vec<Batch>,
     synth: Vec<Synth>,
-    /// Host-probe times from both client threads.
+    /// Host-probe times from the quiet windows around the cycle.
     probes: Vec<f64>,
     servable_ms: f64,
     /// Refits that succeeded during the cycle.
@@ -155,9 +162,12 @@ impl Setup {
                 generations.lock().expect("generation map").entry(generation).or_insert(entry);
             }
         };
-        let (batches, servable_ms, synth, probes) = std::thread::scope(|scope| {
+        // Before the first batch and after the last refit nothing of the
+        // program runs: the quiet windows in which the probe is timed.
+        let mut probe = Probe::new();
+        probe.time(QUIET_PROBES);
+        let (batches, servable_ms, synth) = std::thread::scope(|scope| {
             let reader = scope.spawn(|| {
-                let mut probe = Probe::new();
                 let mut conn = Conn::open(addr).expect("connect to the benchmark server");
                 let mut draw = Draw::new(seed, 0x5359_4e00 + index as u64);
                 let generations_path = format!("/v1/models/{model}/generations");
@@ -168,7 +178,6 @@ impl Setup {
                 }
                 let mut done = Vec::new();
                 while ingesting.load(Ordering::SeqCst) {
-                    probe.tick();
                     let seed = draw.next() >> 32;
                     let spec = SynthSpec::new().with_rows(SYNTH_ROWS).with_seed(seed);
                     let body = spec.to_json().to_string_compact().expect("renders").into_bytes();
@@ -199,15 +208,13 @@ impl Setup {
                         generation,
                     });
                 }
-                (done, probe.into_samples())
+                done
             });
-            let mut probe = Probe::new();
             let mut conn = Conn::open(addr).expect("connect to the benchmark server");
             let path = format!("/v1/tenants/{tenant}/ingest");
             let first_sent = Instant::now();
             let mut batches = Vec::with_capacity(bodies.len());
             for (i, body) in bodies.into_iter().enumerate() {
-                probe.tick();
                 let (ms, ttfb_ms, ok) = match conn.send("POST", &path, body.as_bytes()) {
                     Ok(r) => {
                         let total = Json::parse(r.text())
@@ -243,10 +250,10 @@ impl Setup {
                 std::thread::sleep(Duration::from_millis(2));
             };
             ingesting.store(false, Ordering::SeqCst);
-            let (synth, mut probes) = reader.join().expect("synth thread");
-            probes.extend(probe.into_samples());
-            (batches, servable_ms, synth, probes)
+            let synth = reader.join().expect("synth thread");
+            (batches, servable_ms, synth)
         });
+        probe.time(QUIET_PROBES);
         if let Some(entry) = registry.get(&model) {
             keep(entry.generation);
         }
@@ -256,7 +263,7 @@ impl Setup {
             model,
             batches,
             synth,
-            probes,
+            probes: probe.into_samples(),
             servable_ms,
             generations: generations.into_inner().expect("generation map"),
         }
@@ -264,7 +271,7 @@ impl Setup {
 }
 
 pub fn run(seed: u64, traced: bool) -> Outcome {
-    let (setup, setup_s) = repeated_setup(|| build(seed));
+    let (setup, setup_s) = repeated_setup(SETUP_REPEATS, || build(seed));
     let mut outcome = Outcome::default();
     outcome.e2e("setup_s", setup_s);
     let addr = setup.running.addr();
@@ -272,6 +279,7 @@ pub fn run(seed: u64, traced: bool) -> Outcome {
     let started = Instant::now();
     let cycles = vec![setup.cycle(seed, 0)];
     let wall = started.elapsed();
+    outcome.e2e("peak_rss_mb", peak_rss_mb());
     let delta = before.map(|b| Delta::new(b, scrape(addr)));
 
     let ingest: Vec<f64> = cycles.iter().flat_map(|c| c.batches.iter().map(|b| b.ms)).collect();

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! perfbench --workload <serve-mix|fit-publish|ingest-refit> --seed N --seconds S --trace <0|1>
-//! perfbench steady [--workloads a,b] [--runs N] [--seed-base N] [--seconds S] [--trace <0|1>]
+//! perfbench steady [--runs N] [--seconds S] [--trace <0|1>]
 //! ```
 //!
 //! A run builds its workload's set-up, drives an in-process
@@ -12,7 +12,7 @@
 //! the end-to-end metrics; `--trace 1` scrapes `/metrics` around the timed
 //! work, replays every op through the layers with spans, reports the
 //! per-layer metrics and writes the spans to `.bench_work/`. `steady` runs
-//! each workload `--runs` times with consecutive seeds and prints each
+//! each workload `--runs` times with seeds 1..=runs and prints each
 //! metric's median, quartiles and spread. See `perfbench/README.md`.
 
 mod common;
@@ -74,6 +74,14 @@ impl Workload {
                 "op2 = p90 of cold /v1 synth, 10,000 rows, under ingest",
                 "op3 = ingest to servable: first batch sent to the 50,000-row generation (tail: same)",
             ],
+        }
+    }
+
+    fn setup_repeats(self) -> usize {
+        match self {
+            Workload::ServeMix => serve_mix::SETUP_REPEATS,
+            Workload::FitPublish => fit_publish::SETUP_REPEATS,
+            Workload::IngestRefit => ingest_refit::SETUP_REPEATS,
         }
     }
 
@@ -141,7 +149,7 @@ fn environment(args: &Args) -> Vec<(&'static str, String)> {
         ("available_parallelism", common::available_parallelism().to_string()),
         ("server_workers", common::SERVER_WORKERS.to_string()),
         ("fit_threads", common::fit_threads().to_string()),
-        ("setup_repeats", common::SETUP_REPEATS.to_string()),
+        ("setup_repeats", args.workload.setup_repeats().to_string()),
         ("git_commit", quote(&common::git_commit())),
         ("build_profile", quote(if cfg!(debug_assertions) { "debug" } else { "release" })),
     ]
@@ -168,8 +176,7 @@ fn main() -> ExitCode {
         TRACE_FILE.set(PathBuf::from(".bench_work").join(file)).expect("set once");
     }
     let env = environment(&args);
-    let mut outcome = args.workload.run(args.seed, args.seconds, args.traced);
-    outcome.e2e("peak_rss_mb", common::peak_rss_mb());
+    let outcome = args.workload.run(args.seed, args.seconds, args.traced);
     for (name, _) in END_TO_END {
         assert!(outcome.end_to_end.contains_key(name), "workload left `{name}` unmeasured");
     }
@@ -206,13 +213,11 @@ fn main() -> ExitCode {
     }
 }
 
-/// Runs each workload `--runs` times with consecutive seeds and prints,
-/// per metric, the median, the quartiles and the spread (interquartile
-/// range over median) that the bounds in `BENCHMARK.json` are set from.
+/// Runs each workload `--runs` times with seeds 1..=runs and prints, per
+/// metric, the median, the quartiles and the spread (interquartile range
+/// over median) that the bounds in `BENCHMARK.json` are set from.
 fn steady(argv: &[String]) -> ExitCode {
-    let mut workloads: Vec<Workload> = Workload::ALL.to_vec();
-    let (mut runs, mut seed_base, mut seconds, mut trace) =
-        (10usize, 1u64, 10.0f64, "0".to_string());
+    let (mut runs, mut seconds, mut trace) = (10u64, 10.0f64, "0".to_string());
     let mut it = argv.iter();
     while let Some(flag) = it.next() {
         let Some(value) = it.next() else {
@@ -220,12 +225,7 @@ fn steady(argv: &[String]) -> ExitCode {
             return ExitCode::from(2);
         };
         let ok = match flag.as_str() {
-            "--workloads" => {
-                let parsed: Option<Vec<Workload>> = value.split(',').map(Workload::parse).collect();
-                parsed.map(|w| workloads = w).is_some()
-            }
             "--runs" => value.parse().map(|v| runs = v).is_ok(),
-            "--seed-base" => value.parse().map(|v| seed_base = v).is_ok(),
             "--seconds" => value.parse().map(|v| seconds = v).is_ok(),
             "--trace" => {
                 trace = value.clone();
@@ -241,11 +241,10 @@ fn steady(argv: &[String]) -> ExitCode {
     let exe = std::env::current_exe().expect("locate the running binary");
     let catalogue = if trace == "1" { PER_LAYER } else { END_TO_END };
     let mut all_ok = true;
-    for workload in workloads {
+    for workload in Workload::ALL {
         let mut values: Vec<Vec<f64>> = vec![Vec::new(); catalogue.len()];
         let mut named: std::collections::BTreeMap<String, (Vec<f64>, String)> = Default::default();
-        for i in 0..runs {
-            let seed = seed_base + i as u64;
+        for seed in 1..=runs {
             let output = Command::new(&exe)
                 .args(["--workload", workload.name(), "--seed", &seed.to_string()])
                 .args(["--seconds", &seconds.to_string(), "--trace", &trace])
@@ -295,11 +294,7 @@ fn steady(argv: &[String]) -> ExitCode {
             }
             eprintln!("{} seed {seed}: ok", workload.name());
         }
-        println!(
-            "{} ({runs} runs, seeds {seed_base}..{})",
-            workload.name(),
-            seed_base + runs as u64 - 1
-        );
+        println!("{} ({runs} runs, seeds 1..{runs})", workload.name());
         println!("  {:<44} {:>12} {:>12} {:>12} {:>9}", "metric", "median", "q1", "q3", "iqr/med");
         for ((name, unit), column) in catalogue.iter().zip(&values) {
             if column.len() < 2 {

@@ -8,9 +8,22 @@
 //! round, 12 synth requests (3 hot), 3 conditional requests, half of the
 //! 696 one- to three-way NLTCS attribute sets and half of a 24-set Adult
 //! query pool.
+//!
+//! Each client opens one connection per round. The two clients meet at a
+//! barrier after every round: both close, the probe is timed while no
+//! request is in flight, and both reopen. Which cores the scheduler gives a
+//! connection's client thread and server worker persists for the
+//! connection's life and moves synth latency by up to 1.8x on two cores;
+//! a connection per round gives a run many lives to average that over,
+//! where the server's cap of 1,000 requests leaves a handful. Reopening
+//! together lets the acceptor's round-robin put the two new connections on
+//! different workers, so neither queues behind the other's. Every round
+//! has the same composition, so the time one client waits for the other
+//! at the barrier is the same in every run.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
 use privbayes::conditionals::NoisyModel;
@@ -25,8 +38,8 @@ use privbayes_server::{
 use privbayes_synth::{fit_method, FitSettings, Method};
 
 use crate::common::{
-    adult_corpus, digest, fit_threads, nltcs_corpus, repeated_setup, Draw, Probe, Running,
-    ADULT_ROWS,
+    adult_corpus, digest, fit_threads, nltcs_corpus, peak_rss_mb, repeated_setup, Draw, Probe,
+    Running, ADULT_ROWS,
 };
 use crate::http::Conn;
 use crate::replay;
@@ -43,12 +56,10 @@ const CLIENTS: usize = 2;
 /// Per client: 6 rounds give 2 × 6 × 9 = 108 cold synth requests, 36
 /// conditional requests and 4,320 queries at least.
 const MIN_ROUNDS: usize = 6;
-/// Requests per client connection. Which cores the scheduler gives a
-/// connection's client thread and server worker persists for the
-/// connection's life and moves synth latency by up to 1.8x on two cores;
-/// many short lives per run average that out, where the server's cap of
-/// 1,000 requests leaves a handful.
-const REQUESTS_PER_CONNECTION: usize = 100;
+/// Probe timings in each pause between rounds.
+const PAUSE_PROBES: usize = 8;
+/// Set-up builds per run; `setup_s` is their median.
+pub const SETUP_REPEATS: usize = 7;
 const SYNTH_PER_ROUND: usize = 12;
 const HOT_PER_ROUND: usize = 3;
 const COND_PER_ROUND: usize = 3;
@@ -253,25 +264,32 @@ impl Setup {
     }
 }
 
+/// Where the two clients meet between connections.
+struct Pause {
+    barrier: Barrier,
+    /// Whether another round follows; client 0 decides at the end of each.
+    more: AtomicBool,
+}
+
 /// One client's closed loop: whole rounds until the run length has passed
-/// and the minimum round count is reached.
+/// and the minimum round count is reached. Client 0 times the probe in the
+/// pauses, while client 1 waits and no request is in flight.
 fn client_loop(
     setup: &Setup,
     seed: u64,
     client: usize,
     seconds: f64,
     started: Instant,
+    pause: &Pause,
 ) -> (Vec<Done>, Vec<f64>) {
     let addr = setup.running.addr();
-    let mut probe = Probe::new();
-    let mut conn = Conn::open_rotating(addr, REQUESTS_PER_CONNECTION)
-        .expect("connect to the benchmark server");
+    let mut probe = (client == 0).then(Probe::new);
     let mut done = Vec::new();
     let mut kept: std::collections::HashSet<(bool, Vec<usize>)> = Default::default();
     let mut round = 0;
-    while round < MIN_ROUNDS || started.elapsed().as_secs_f64() < seconds {
+    while pause.more.load(Ordering::SeqCst) {
+        let mut conn = Conn::open(addr).expect("connect to the benchmark server");
         for op in setup.round(seed, client, round) {
-            probe.tick();
             let reply = conn.send("POST", &op.path, &op.body);
             let (ms, ttfb_ms, ok, dg, body) = match reply {
                 Ok(reply) => {
@@ -292,21 +310,28 @@ fn client_loop(
                     (ms, reply.ttfb.as_secs_f64() * 1e3, ok, digest(&reply.body), body)
                 }
                 Err(_) => {
-                    conn = Conn::open_rotating(addr, REQUESTS_PER_CONNECTION)
-                        .expect("reconnect to the benchmark server");
+                    conn = Conn::open(addr).expect("reconnect to the benchmark server");
                     (FAILED_MS, FAILED_MS, false, 0, None)
                 }
             };
             let (ms, ttfb_ms) = if ok { (ms, ttfb_ms) } else { (FAILED_MS, FAILED_MS) };
             done.push(Done { op, ms, ttfb_ms, ok, digest: dg, body });
         }
+        drop(conn);
+        pause.barrier.wait();
+        if let Some(probe) = probe.as_mut() {
+            probe.time(PAUSE_PROBES);
+            let more = round + 1 < MIN_ROUNDS || started.elapsed().as_secs_f64() < seconds;
+            pause.more.store(more, Ordering::SeqCst);
+        }
+        pause.barrier.wait();
         round += 1;
     }
-    (done, probe.into_samples())
+    (done, probe.map(Probe::into_samples).unwrap_or_default())
 }
 
 pub fn run(seed: u64, seconds: f64, traced: bool) -> Outcome {
-    let (setup, setup_s) = repeated_setup(|| build(seed));
+    let (setup, setup_s) = repeated_setup(SETUP_REPEATS, || build(seed));
     let mut outcome = Outcome::default();
     outcome.e2e("setup_s", setup_s);
 
@@ -314,11 +339,12 @@ pub fn run(seed: u64, seconds: f64, traced: bool) -> Outcome {
     let started = Instant::now();
     let mut probes = Vec::new();
     let mut done: Vec<Done> = Vec::new();
+    let pause = Pause { barrier: Barrier::new(CLIENTS), more: AtomicBool::new(true) };
     std::thread::scope(|scope| {
         let workers: Vec<_> = (0..CLIENTS)
             .map(|c| {
-                let setup = &setup;
-                scope.spawn(move || client_loop(setup, seed, c, seconds, started))
+                let (setup, pause) = (&setup, &pause);
+                scope.spawn(move || client_loop(setup, seed, c, seconds, started, pause))
             })
             .collect();
         for w in workers {
@@ -329,6 +355,7 @@ pub fn run(seed: u64, seconds: f64, traced: bool) -> Outcome {
     });
     let probe_ms = median(&probes);
     let wall = started.elapsed();
+    outcome.e2e("peak_rss_mb", peak_rss_mb());
     let delta = before.map(|b| Delta::new(b, scrape(setup.running.addr())));
 
     let pick =
