@@ -8,7 +8,7 @@
 //! tests, or sampled from a seed ([`FaultPlan::seeded`]) for randomized
 //! chaos storms that are nevertheless reproducible run to run.
 //!
-//! The whole module — and every hook that consults it in `ledger`,
+//! The whole module — and every hook that consults it in `durable`,
 //! `server`, and `http` — only exists under
 //! `#[cfg(any(test, feature = "fault-injection"))]`. A release build
 //! (`cargo build --release`) contains none of it: the hooks are not
@@ -16,10 +16,11 @@
 //!
 //! Faults model three distinct failure families:
 //!
-//! * **Process death** during ledger persistence ([`Fault::CrashAt`],
-//!   [`Fault::ShortWrite`]): the persist sequence stops at the named step,
-//!   leaving the on-disk state exactly as a `kill -9` at that instant
-//!   would. Tests then "restart" by re-opening the ledger from the path.
+//! * **Process death** during ledger or dataset-journal persistence
+//!   ([`Fault::CrashAt`], [`Fault::ShortWrite`]): the persist sequence
+//!   stops at the named step, leaving the on-disk state exactly as a
+//!   `kill -9` at that instant would. Tests then "restart" by re-opening
+//!   the store from its path.
 //! * **Network pathology** on connection IO ([`Fault::Reset`],
 //!   [`Fault::ShortWrite`], [`Fault::DelayMs`]): the wrapped stream
 //!   ([`FaultStream`]) errors, truncates, or stalls — the server must
@@ -71,13 +72,15 @@ impl FaultSite {
     }
 }
 
-/// A step inside the ledger persist sequence. [`Fault::CrashAt`] aborts the
-/// sequence *immediately before* executing the named step, so the five
-/// possible crash points are: before anything is written (`WriteTmp`),
-/// after the temp file is written but not yet synced (`SyncTmp`), after the
-/// sync but before the rename (`Rename`), and after the rename but before
-/// the parent directory entry is made durable (`SyncDir`). `ShortWrite`
-/// covers the fifth: death in the middle of writing the temp file.
+/// A step inside the persist sequence shared by the ledger and the dataset
+/// journals ([`FaultSite::LedgerPersist`], [`FaultSite::DatasetPersist`]).
+/// [`Fault::CrashAt`] aborts the sequence *immediately before* executing
+/// the named step, so the five possible crash points are: before anything
+/// is written (`WriteTmp`), after the temp file is written but not yet
+/// synced (`SyncTmp`), after the sync but before the rename (`Rename`), and
+/// after the rename but before the parent directory entry is made durable
+/// (`SyncDir`). `ShortWrite` covers the fifth: death in the middle of
+/// writing the temp file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LedgerStep {
     /// Writing the sibling temp file.
@@ -96,11 +99,12 @@ pub enum Fault {
     /// Report a clean I/O error without touching any state (exercises
     /// rollback paths).
     Fail,
-    /// Write roughly half the bytes, then die. On the ledger this tears the
-    /// temp file; on a connection it truncates the response mid-stream.
+    /// Write roughly half the bytes, then die. On the ledger or a dataset
+    /// journal this tears the temp file; on a connection it truncates the
+    /// response mid-stream.
     ShortWrite,
-    /// Ledger only: abort the persist sequence immediately before `step`,
-    /// as a `kill -9` at that instant would.
+    /// Ledger and dataset-journal persists only: abort the sequence
+    /// immediately before `step`, as a `kill -9` at that instant would.
     CrashAt(LedgerStep),
     /// Connection IO only: stall this operation for the given milliseconds
     /// before letting it proceed (slow peer / slow disk).

@@ -4,10 +4,10 @@
 //! [`DatasetStore`] holds one state per tenant: the full coded dataset,
 //! journaled as CRC-tagged `privbayes-dataset/1` JSON, and a live
 //! [`CountEngine`] the rows have been appended into. An append batch is
-//! validated against the tenant's schema, journaled with the same
-//! write-temp → `fsync` → rename → directory-sync sequence the budget
-//! ledger uses (one `FaultSite::DatasetPersist` step per persist under
-//! fault injection), and only then merged into the engine — a persist
+//! validated against the tenant's schema, journaled with the budget
+//! ledger's crash-durable sequence (see `durable`; one
+//! `FaultSite::DatasetPersist` step per persist under fault injection),
+//! and only then merged into the engine — a persist
 //! failure before the rename rolls the whole append back, so the journal
 //! and the engine can never disagree about which rows exist, and a crash
 //! at any instant leaves the file as either the complete old dataset or
@@ -28,8 +28,6 @@
 //! never a missed charge).
 
 use std::collections::BTreeMap;
-use std::fs::File;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -40,10 +38,10 @@ use privbayes_marginals::CountEngine;
 use privbayes_model::{schema_from_json, schema_to_json, Json};
 use privbayes_synth::Method;
 
+use crate::durable::{self, FaultHook, PersistFailure};
 use crate::error::ServerError;
 #[cfg(any(test, feature = "fault-injection"))]
-use crate::fault::{Fault, FaultPlan, FaultSite, LedgerStep};
-use crate::ledger::crc32;
+use crate::fault::{FaultPlan, FaultSite};
 use crate::registry::validate_id;
 
 /// The dataset journal file format identifier.
@@ -216,22 +214,13 @@ impl TenantState {
     }
 }
 
-/// Why a journal persist did not complete cleanly — same semantics as the
-/// ledger's: after the rename the new dataset *is* the file, so the
-/// mutation is kept; before it, nothing landed and the append rolls back.
-struct PersistFailure {
-    durable: bool,
-    error: ServerError,
-}
-
 /// The per-tenant dataset store. See the module docs for the durability
 /// and bit-identity contracts.
 #[derive(Debug)]
 pub struct DatasetStore {
     dir: Option<PathBuf>,
     tenants: Mutex<BTreeMap<String, Arc<Mutex<TenantState>>>>,
-    #[cfg(any(test, feature = "fault-injection"))]
-    fault: Mutex<Option<Arc<FaultPlan>>>,
+    faults: FaultHook,
 }
 
 impl DatasetStore {
@@ -239,19 +228,14 @@ impl DatasetStore {
     /// nothing survives a restart.
     #[must_use]
     pub fn in_memory() -> Self {
-        Self {
-            dir: None,
-            tenants: Mutex::new(BTreeMap::new()),
-            #[cfg(any(test, feature = "fault-injection"))]
-            fault: Mutex::new(None),
-        }
+        Self { dir: None, tenants: Mutex::new(BTreeMap::new()), faults: FaultHook::default() }
     }
 
     /// Opens (creating if needed) a journal directory and recovers every
     /// `*.dataset.json` file in it: CRC-validated, schema-validated, and
-    /// rebuilt into a live engine. Stray `*.tmp` debris from a crash
-    /// mid-persist is ignored — the rename never landed, so the target
-    /// file still holds the pre-crash dataset.
+    /// rebuilt into a live engine. Stray `*.dataset.json.tmp` debris from a
+    /// crash mid-persist is ignored — the rename never landed, so the
+    /// target file still holds the pre-crash dataset.
     ///
     /// # Errors
     /// Returns [`ServerError::Dataset`] if a journal file is unreadable,
@@ -278,19 +262,14 @@ impl DatasetStore {
             }
             tenants.insert(tenant.to_string(), Arc::new(Mutex::new(state)));
         }
-        Ok(Self {
-            dir: Some(dir),
-            tenants: Mutex::new(tenants),
-            #[cfg(any(test, feature = "fault-injection"))]
-            fault: Mutex::new(None),
-        })
+        Ok(Self { dir: Some(dir), tenants: Mutex::new(tenants), faults: FaultHook::default() })
     }
 
     /// Installs (or clears) a fault plan consulted on every journal
     /// persist. Test-only: absent from release builds.
     #[cfg(any(test, feature = "fault-injection"))]
     pub fn set_fault_plan(&self, plan: Option<Arc<FaultPlan>>) {
-        *self.fault.lock().expect("fault lock poisoned") = plan;
+        self.faults.set(FaultSite::DatasetPersist, plan);
     }
 
     /// The registered tenants, in name order.
@@ -391,9 +370,9 @@ impl DatasetStore {
                     &state.refit,
                     state.fitted_rows,
                 );
-                if let Err(f) = self.persist(&Self::tenant_path(dir, tenant), &render(&inner)) {
+                if let Err(f) = self.journal(dir, tenant, inner) {
                     if !f.durable {
-                        return Err(f.error);
+                        return Err(ServerError::Dataset(f.error));
                     }
                 }
             }
@@ -469,7 +448,7 @@ impl DatasetStore {
                         &state.refit,
                         state.fitted_rows,
                     );
-                    let _ = self.persist(&Self::tenant_path(dir, tenant), &render(&inner));
+                    let _ = self.journal(dir, tenant, inner);
                 }
             }
             None => state.pending_since = Some(Instant::now()),
@@ -511,101 +490,12 @@ impl DatasetStore {
         Ok(slot)
     }
 
-    fn tenant_path(dir: &Path, tenant: &str) -> PathBuf {
+    /// Replaces the tenant's journal file with `dataset`, sealed.
+    fn journal(&self, dir: &Path, tenant: &str, dataset: Json) -> Result<(), PersistFailure> {
         // `validate_id` admits only `[A-Za-z0-9._-]`, so the name can
         // never smuggle a path separator.
-        dir.join(format!("{tenant}.dataset.json"))
-    }
-
-    /// The ledger's crash-durable persist sequence, verbatim, against the
-    /// dataset journal: write sibling temp, `fsync` it, rename over the
-    /// target, `fsync` the parent directory. One
-    /// `FaultSite::DatasetPersist` step is consumed per call under fault
-    /// injection; `CrashAt(step)` aborts immediately before the named
-    /// step, exactly as `kill -9` at that instant would.
-    fn persist(&self, path: &Path, body: &str) -> Result<(), PersistFailure> {
-        let io_err = |e: std::io::Error| ServerError::Dataset(format!("{}: {e}", path.display()));
-        let fail = |durable: bool, error: ServerError| -> PersistFailure {
-            PersistFailure { durable, error }
-        };
-        let tmp = path.with_extension("tmp");
-
-        #[cfg(any(test, feature = "fault-injection"))]
-        let injected: Option<Fault> = self
-            .fault
-            .lock()
-            .expect("fault lock poisoned")
-            .as_ref()
-            .map(Arc::clone)
-            .and_then(|p| p.take(FaultSite::DatasetPersist));
-        #[cfg(any(test, feature = "fault-injection"))]
-        let crashed = |step: LedgerStep| -> Option<PersistFailure> {
-            match injected {
-                Some(Fault::CrashAt(s)) if s == step => Some(PersistFailure {
-                    durable: step == LedgerStep::SyncDir,
-                    error: ServerError::Dataset(format!("injected crash before {step:?}")),
-                }),
-                _ => None,
-            }
-        };
-
-        #[cfg(any(test, feature = "fault-injection"))]
-        {
-            if let Some(f) = crashed(LedgerStep::WriteTmp) {
-                return Err(f);
-            }
-            match injected {
-                Some(Fault::Fail) => {
-                    return Err(fail(
-                        false,
-                        ServerError::Dataset("injected persist failure".to_string()),
-                    ))
-                }
-                Some(Fault::ShortWrite) => {
-                    // Die halfway through writing the temp file: the
-                    // target is untouched, the temp file is torn garbage.
-                    let _ = std::fs::write(&tmp, &body.as_bytes()[..body.len() / 2]);
-                    return Err(fail(
-                        false,
-                        ServerError::Dataset("injected crash mid temp-file write".to_string()),
-                    ));
-                }
-                _ => {}
-            }
-        }
-
-        let mut file = File::create(&tmp).map_err(|e| fail(false, io_err(e)))?;
-        file.write_all(body.as_bytes()).map_err(|e| fail(false, io_err(e)))?;
-
-        #[cfg(any(test, feature = "fault-injection"))]
-        if let Some(f) = crashed(LedgerStep::SyncTmp) {
-            return Err(f);
-        }
-
-        file.sync_all().map_err(|e| fail(false, io_err(e)))?;
-        drop(file);
-
-        #[cfg(any(test, feature = "fault-injection"))]
-        if let Some(f) = crashed(LedgerStep::Rename) {
-            return Err(f);
-        }
-
-        std::fs::rename(&tmp, path).map_err(|e| fail(false, io_err(e)))?;
-
-        #[cfg(any(test, feature = "fault-injection"))]
-        if let Some(f) = crashed(LedgerStep::SyncDir) {
-            return Err(f);
-        }
-
-        // Make the rename itself durable; past it the file already holds
-        // the new dataset, so the caller keeps the append.
-        #[cfg(unix)]
-        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            if let Err(e) = File::open(parent).and_then(|dir| dir.sync_all()) {
-                return Err(fail(true, io_err(e)));
-            }
-        }
-        Ok(())
+        let path = dir.join(format!("{tenant}.dataset.json"));
+        durable::persist(&path, &durable::seal(DATASET_FORMAT, "dataset", dataset), &self.faults)
     }
 }
 
@@ -622,7 +512,7 @@ fn appended_columns(engine: &CountEngine, batch: &Dataset) -> Vec<Vec<u32>> {
         .collect()
 }
 
-/// The canonical inner object the journal CRC is computed over.
+/// The journal payload: everything needed to rebuild the tenant's state.
 fn dataset_json(
     tenant: &str,
     schema: &Schema,
@@ -661,29 +551,10 @@ fn dataset_json(
     ])
 }
 
-fn render(inner: &Json) -> String {
-    let canonical = inner.to_string_compact().expect("codes are finite");
-    let crc = crc32(canonical.as_bytes());
-    Json::object(vec![
-        ("format", Json::String(DATASET_FORMAT.to_string())),
-        ("crc", Json::String(format!("{crc:08x}"))),
-        ("dataset", inner.clone()),
-    ])
-    .to_string_pretty()
-    .expect("codes are finite")
-}
-
 /// Parses and CRC-validates one journal file into a recovered tenant
-/// state. The checksum is recomputed over the canonical re-rendering of
-/// the parsed content (exactly like the v2 ledger), so whitespace is
-/// irrelevant but any value corruption is caught.
+/// state.
 fn parse_journal(text: &str) -> Result<(String, TenantState), String> {
-    let json = Json::parse(text).map_err(|e| e.to_string())?;
-    match json.get("format").and_then(Json::as_str) {
-        Some(DATASET_FORMAT) => {}
-        other => return Err(format!("unsupported format {other:?}, expected `{DATASET_FORMAT}`")),
-    }
-    let dataset = json.get("dataset").ok_or("missing `dataset` object")?;
+    let dataset = durable::unseal(text, DATASET_FORMAT, "dataset")?;
     let field = |name: &str| format!("missing or mistyped `{name}`");
     let tenant = dataset.get("tenant").and_then(Json::as_str).ok_or_else(|| field("tenant"))?;
     let rows = dataset.get("rows").and_then(Json::as_usize).ok_or_else(|| field("rows"))?;
@@ -725,17 +596,6 @@ fn parse_journal(text: &str) -> Result<(String, TenantState), String> {
         }
         columns.push(out);
     }
-    let stored = json.get("crc").and_then(Json::as_str).ok_or("journal is missing `crc`")?;
-    let canonical = dataset_json(tenant, &schema, &columns, rows, &refit, fitted_rows)
-        .to_string_compact()
-        .expect("codes are finite");
-    let expected = format!("{:08x}", crc32(canonical.as_bytes()));
-    if stored != expected {
-        return Err(format!(
-            "crc mismatch: file says {stored}, content hashes to {expected} \
-             (corrupt dataset journal; refusing to guess at rows)"
-        ));
-    }
     let data = Dataset::from_columns(schema, columns).map_err(|e| e.to_string())?;
     if data.n() != rows {
         return Err(format!("journal says {rows} rows but columns hold {}", data.n()));
@@ -754,6 +614,7 @@ fn parse_journal(text: &str) -> Result<(String, TenantState), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::Fault;
     use privbayes_data::Attribute;
     use privbayes_marginals::{Axis, ContingencyTable};
 
@@ -842,6 +703,63 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A small journal exactly as `privbayes-dataset/1` has always been
+    /// written: existing files must keep loading, so these bytes are fixed.
+    const PINNED_JOURNAL: &str = r#"{
+  "format": "privbayes-dataset/1",
+  "crc": "9110fae6",
+  "dataset": {
+    "tenant": "acme",
+    "rows": 2,
+    "fitted_rows": 1,
+    "refit": {
+      "model_id": "m",
+      "method": "privbayes",
+      "epsilon": 0.5,
+      "seed": "0000000000000007"
+    },
+    "schema": [
+      {
+        "name": "a",
+        "kind": "binary"
+      },
+      {
+        "name": "b",
+        "kind": "categorical",
+        "size": 3
+      }
+    ],
+    "columns": [
+      [
+        0,
+        1
+      ],
+      [
+        2,
+        0
+      ]
+    ]
+  }
+}
+"#;
+
+    #[test]
+    fn journal_writes_the_pinned_bytes_and_loads_them_back() {
+        let dir = temp_dir("pinned");
+        let store = DatasetStore::open(&dir).unwrap();
+        store.append("acme", &batch(&[[0, 2], [1, 0]]), Some(&spec())).unwrap();
+        store.refit_finished("acme", Some(1));
+        let text = std::fs::read_to_string(dir.join("acme.dataset.json")).unwrap();
+        assert_eq!(text, PINNED_JOURNAL);
+        let recovered = DatasetStore::open(&dir).unwrap();
+        assert_eq!(recovered.snapshot(), store.snapshot());
+        let rows = |s: &DatasetStore| {
+            s.with_engine("acme", |e| (e.column(0).to_vec(), e.column(1).to_vec()))
+        };
+        assert_eq!(rows(&recovered), rows(&store));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn corrupt_journals_are_refused() {
         let dir = temp_dir("corrupt");
@@ -871,6 +789,30 @@ mod tests {
         drop(store);
         let recovered = DatasetStore::open(&dir).unwrap();
         assert_eq!(recovered.snapshot()[0].total_rows, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_lost_refit_record_costs_an_extra_refit_never_a_forgotten_one() {
+        let dir = temp_dir("refit-record");
+        let store = DatasetStore::open(&dir).unwrap();
+        store.append("acme", &batch(&[[0, 0], [1, 2]]), Some(&spec())).unwrap();
+        let policy = RefitPolicy { min_rows: 1, max_staleness: None };
+        assert_eq!(store.due_refits(&policy).len(), 1);
+        // The best-effort journal write of the refit outcome fails.
+        let plan = Arc::new(FaultPlan::new().inject(FaultSite::DatasetPersist, 0, Fault::Fail));
+        store.set_fault_plan(Some(plan));
+        store.refit_finished("acme", Some(2));
+        assert!(store.due_refits(&policy).is_empty(), "in memory the rows are fitted");
+        drop(store);
+
+        // After a restart the rows are pending again and refit once more.
+        let recovered = DatasetStore::open(&dir).unwrap();
+        let row = &recovered.snapshot()[0];
+        assert_eq!((row.total_rows, row.fitted_rows), (2, 0));
+        let jobs = recovered.due_refits(&policy);
+        assert_eq!(jobs.len(), 1, "the unrecorded refit is handed out again");
+        assert_eq!(jobs[0].total_rows, 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -9,24 +9,20 @@
 //! the serving layer can surface them to the caller.
 //!
 //! With a persistence path configured, every mutation rewrites the ledger
-//! file (CRC-tagged `privbayes-ledger/2` JSON via `privbayes-model`'s
-//! budget IO; `privbayes-ledger/1` files are still read), and construction
-//! restores it, so accounting survives restarts exactly: budgets round-trip
-//! bit-for-bit.
+//! file (CRC-sealed `privbayes-ledger/2` JSON via `privbayes-model`'s
+//! budget IO), and construction restores it, so accounting survives
+//! restarts exactly: budgets round-trip bit-for-bit.
 //!
-//! Persistence is crash-durable, not just atomic: the sibling temp file is
-//! `fsync`ed before the rename, and the parent directory is `fsync`ed
-//! after it, so a power loss at *any* instant leaves the file as either
-//! the complete old state or the complete new one. A charge is only
-//! reported as spent once the rename has landed — a ledger that forgets a
-//! debit would let a tenant re-spend ε and silently void the DP
-//! guarantee. The fault-injection tests kill the persist sequence at every
-//! step and prove the reloaded ledger is always pre- or post-mutation.
+//! Persistence is crash-durable, not just atomic (see `durable`): a power
+//! loss at *any* instant leaves the file as either the complete old state
+//! or the complete new one. A charge is only reported as spent once the
+//! rename has landed — a ledger that forgets a debit would let a tenant
+//! re-spend ε and silently void the DP guarantee. The fault-injection
+//! tests kill the persist sequence at every step and prove the reloaded
+//! ledger is always pre- or post-mutation.
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::fs::File;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, TryLockError};
 
@@ -34,19 +30,16 @@ use privbayes_dp::{DpError, PrivacyBudget};
 use privbayes_model::{budget_from_json, budget_to_json, Json};
 use privbayes_obs::{Counter, Histogram};
 
+use crate::durable::{self, FaultHook, PersistFailure};
 use crate::error::ServerError;
 #[cfg(any(test, feature = "fault-injection"))]
-use crate::fault::{Fault, FaultPlan, FaultSite, LedgerStep};
+use crate::fault::{FaultPlan, FaultSite};
 use crate::registry::validate_id;
 use std::sync::Arc;
 
-/// The original (v1) ledger file format identifier, still accepted on load.
-pub const LEDGER_FORMAT: &str = "privbayes-ledger/1";
-
-/// The current ledger file format: v1 plus a CRC32 over the canonical
-/// compact rendering of the `tenants` object, so bit rot (or a torn write
-/// that still parses as JSON) is detected at startup instead of silently
-/// mis-accounting ε. All writes use v2.
+/// The ledger file format: a `tenants` object sealed with a CRC-32 over
+/// its compact rendering, so bit rot (or a torn write that still parses as
+/// JSON) is detected at startup instead of silently mis-accounting ε.
 pub const LEDGER_FORMAT_V2: &str = "privbayes-ledger/2";
 
 /// Default number of lock stripes the tenant map is sharded into. Tenants
@@ -152,18 +145,7 @@ pub struct BudgetLedger {
     persist_lock: Mutex<()>,
     path: Option<PathBuf>,
     observer: Mutex<Option<LedgerObserver>>,
-    #[cfg(any(test, feature = "fault-injection"))]
-    fault: Mutex<Option<Arc<FaultPlan>>>,
-}
-
-/// Why a persist attempt did not complete cleanly, and whether the data
-/// nevertheless made it: once the rename has landed the new state *is* the
-/// file (a later directory-sync failure only delays durability of the
-/// directory entry), so callers keep the mutation. Before the rename,
-/// nothing reached the target and callers must roll back.
-struct PersistFailure {
-    durable: bool,
-    error: ServerError,
+    faults: FaultHook,
 }
 
 impl BudgetLedger {
@@ -190,8 +172,7 @@ impl BudgetLedger {
             persist_lock: Mutex::new(()),
             path,
             observer: Mutex::new(None),
-            #[cfg(any(test, feature = "fault-injection"))]
-            fault: Mutex::new(None),
+            faults: FaultHook::default(),
         };
         for (name, budget) in tenants {
             let index = ledger.stripe_of(&name);
@@ -273,7 +254,7 @@ impl BudgetLedger {
     /// attempt. Test-only: absent from release builds.
     #[cfg(any(test, feature = "fault-injection"))]
     pub fn set_fault_plan(&self, plan: Option<Arc<FaultPlan>>) {
-        *self.fault.lock().expect("fault lock poisoned") = plan;
+        self.faults.set(FaultSite::LedgerPersist, plan);
     }
 
     /// A ledger persisted at `path`. If the file exists it is restored;
@@ -299,9 +280,9 @@ impl BudgetLedger {
     ) -> Result<Self, ServerError> {
         let path = path.into();
         let tenants = if path.exists() {
-            let text = std::fs::read_to_string(&path)
-                .map_err(|e| ServerError::Ledger(format!("{}: {e}", path.display())))?;
-            Self::parse(&text)
+            std::fs::read_to_string(&path)
+                .map_err(|e| e.to_string())
+                .and_then(|text| Self::parse(&text))
                 .map_err(|e| ServerError::Ledger(format!("{}: {e}", path.display())))?
         } else {
             BTreeMap::new()
@@ -309,88 +290,32 @@ impl BudgetLedger {
         Ok(Self::build(tenants, Some(path), stripes))
     }
 
-    fn parse(text: &str) -> Result<BTreeMap<String, PrivacyBudget>, ServerError> {
-        let json = Json::parse(text).map_err(|e| ServerError::Ledger(e.to_string()))?;
-        let format = json.get("format").and_then(Json::as_str);
-        let is_v2 = match format {
-            Some(LEDGER_FORMAT) => false,
-            Some(LEDGER_FORMAT_V2) => true,
-            other => {
-                return Err(ServerError::Ledger(format!(
-                    "unsupported ledger format {other:?}, expected `{LEDGER_FORMAT_V2}`"
-                )))
-            }
-        };
-        let fields = json
-            .get("tenants")
-            .and_then(Json::as_object)
-            .ok_or_else(|| ServerError::Ledger("missing `tenants` object".into()))?;
+    fn parse(text: &str) -> Result<BTreeMap<String, PrivacyBudget>, String> {
+        let payload = durable::unseal(text, LEDGER_FORMAT_V2, "tenants")?;
+        let fields = payload.as_object().ok_or("`tenants` is not an object")?;
         let mut tenants = BTreeMap::new();
         for (name, value) in fields {
-            let budget = budget_from_json(value)
-                .map_err(|e| ServerError::Ledger(format!("tenant `{name}`: {e}")))?;
+            let budget = budget_from_json(value).map_err(|e| format!("tenant `{name}`: {e}"))?;
             tenants.insert(name.clone(), budget);
-        }
-        if is_v2 {
-            // The checksum is over the *canonical* compact rendering, which
-            // re-rendering the parsed budgets reproduces exactly (f64s print
-            // their shortest round-trip form), so whitespace in the file is
-            // irrelevant but any value corruption is caught.
-            let stored = json
-                .get("crc")
-                .and_then(Json::as_str)
-                .ok_or_else(|| ServerError::Ledger("v2 ledger is missing `crc`".into()))?;
-            let expected = format!("{:08x}", crc32(Self::tenants_canonical(&tenants).as_bytes()));
-            if stored != expected {
-                return Err(ServerError::Ledger(format!(
-                    "crc mismatch: file says {stored}, tenants hash to {expected} \
-                     (corrupt ledger; refusing to guess at spent budgets)"
-                )));
-            }
         }
         Ok(tenants)
     }
 
-    fn tenants_json(tenants: &BTreeMap<String, PrivacyBudget>) -> Json {
-        let fields: Vec<(String, Json)> =
-            tenants.iter().map(|(name, b)| (name.clone(), budget_to_json(b))).collect();
-        Json::Object(fields)
-    }
-
-    /// The canonical byte string the v2 CRC is computed over.
-    fn tenants_canonical(tenants: &BTreeMap<String, PrivacyBudget>) -> String {
-        Self::tenants_json(tenants).to_string_compact().expect("budgets are finite")
-    }
-
     fn render(tenants: &BTreeMap<String, PrivacyBudget>) -> String {
-        let crc = crc32(Self::tenants_canonical(tenants).as_bytes());
-        Json::object(vec![
-            ("format", Json::String(LEDGER_FORMAT_V2.to_string())),
-            ("crc", Json::String(format!("{crc:08x}"))),
-            ("tenants", Self::tenants_json(tenants)),
-        ])
-        .to_string_pretty()
-        .expect("budgets are finite")
+        let fields = tenants.iter().map(|(name, b)| (name.clone(), budget_to_json(b))).collect();
+        durable::seal(LEDGER_FORMAT_V2, "tenants", Json::Object(fields))
     }
 
     /// Persists under the lock so file contents always match a consistent
-    /// in-memory state. The sequence — write sibling temp file, `fsync` it,
-    /// rename over the target, `fsync` the parent directory — guarantees a
-    /// crash at any instant leaves either the old complete ledger or the
-    /// new one, *durably*: without the temp-file sync the rename can land
-    /// before the data blocks do, and without the directory sync the rename
-    /// itself can evaporate on power loss.
-    ///
-    /// Under fault injection, one [`FaultSite::LedgerPersist`] step is
-    /// consumed per call; a `CrashAt(step)` fault aborts immediately before
-    /// the named step, exactly as `kill -9` at that instant would.
+    /// in-memory state, recording the attempt on the observer. Under fault
+    /// injection one [`FaultSite::LedgerPersist`] step is consumed per call.
     fn persist(
         &self,
         tenants: &BTreeMap<String, PrivacyBudget>,
         path: &Path,
     ) -> Result<(), PersistFailure> {
         let started = std::time::Instant::now();
-        let result = self.persist_inner(tenants, path);
+        let result = durable::persist(path, &Self::render(tenants), &self.faults);
         if let Some(obs) = self.observer.lock().expect("observer lock poisoned").as_ref() {
             obs.persist_seconds.observe(started.elapsed());
             match &result {
@@ -400,97 +325,6 @@ impl BudgetLedger {
             }
         }
         result
-    }
-
-    fn persist_inner(
-        &self,
-        tenants: &BTreeMap<String, PrivacyBudget>,
-        path: &Path,
-    ) -> Result<(), PersistFailure> {
-        let io_err = |e: std::io::Error| ServerError::Ledger(format!("{}: {e}", path.display()));
-        let fail = |durable: bool, error: ServerError| -> PersistFailure {
-            PersistFailure { durable, error }
-        };
-        let body = Self::render(tenants);
-        let tmp = path.with_extension("tmp");
-
-        #[cfg(any(test, feature = "fault-injection"))]
-        let injected: Option<Fault> = self
-            .fault
-            .lock()
-            .expect("fault lock poisoned")
-            .as_ref()
-            .map(Arc::clone)
-            .and_then(|p| p.take(FaultSite::LedgerPersist));
-        #[cfg(any(test, feature = "fault-injection"))]
-        let crashed = |step: LedgerStep| -> Option<PersistFailure> {
-            match injected {
-                Some(Fault::CrashAt(s)) if s == step => Some(PersistFailure {
-                    durable: step == LedgerStep::SyncDir,
-                    error: ServerError::Ledger(format!("injected crash before {step:?}")),
-                }),
-                _ => None,
-            }
-        };
-
-        #[cfg(any(test, feature = "fault-injection"))]
-        {
-            if let Some(f) = crashed(LedgerStep::WriteTmp) {
-                return Err(f);
-            }
-            match injected {
-                Some(Fault::Fail) => {
-                    return Err(fail(
-                        false,
-                        ServerError::Ledger("injected persist failure".to_string()),
-                    ))
-                }
-                Some(Fault::ShortWrite) => {
-                    // Die halfway through writing the temp file: the target
-                    // is untouched, the temp file is torn garbage.
-                    let _ = std::fs::write(&tmp, &body.as_bytes()[..body.len() / 2]);
-                    return Err(fail(
-                        false,
-                        ServerError::Ledger("injected crash mid temp-file write".to_string()),
-                    ));
-                }
-                _ => {}
-            }
-        }
-
-        let mut file = File::create(&tmp).map_err(|e| fail(false, io_err(e)))?;
-        file.write_all(body.as_bytes()).map_err(|e| fail(false, io_err(e)))?;
-
-        #[cfg(any(test, feature = "fault-injection"))]
-        if let Some(f) = crashed(LedgerStep::SyncTmp) {
-            return Err(f);
-        }
-
-        file.sync_all().map_err(|e| fail(false, io_err(e)))?;
-        drop(file);
-
-        #[cfg(any(test, feature = "fault-injection"))]
-        if let Some(f) = crashed(LedgerStep::Rename) {
-            return Err(f);
-        }
-
-        std::fs::rename(&tmp, path).map_err(|e| fail(false, io_err(e)))?;
-
-        #[cfg(any(test, feature = "fault-injection"))]
-        if let Some(f) = crashed(LedgerStep::SyncDir) {
-            return Err(f);
-        }
-
-        // Make the rename itself durable. A failure here is reported but
-        // flagged durable: the file already holds the new state, so callers
-        // must keep the mutation (dropping it would un-spend recorded ε).
-        #[cfg(unix)]
-        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            if let Err(e) = File::open(parent).and_then(|dir| dir.sync_all()) {
-                return Err(fail(true, io_err(e)));
-            }
-        }
-        Ok(())
     }
 
     /// Registers `tenant` with a total budget of `total` ε. Re-registering
@@ -516,7 +350,7 @@ impl BudgetLedger {
             if let Err(f) = self.persist(&merged, path) {
                 if !f.durable {
                     stripe.remove(tenant);
-                    return Err(f.error);
+                    return Err(ServerError::Ledger(f.error));
                 }
             }
         }
@@ -561,7 +395,7 @@ impl BudgetLedger {
                 if !f.durable {
                     // Never hand out budget that is not durably recorded.
                     stripe.get_mut(tenant).expect("present above").refund(epsilon);
-                    return Err(LedgerError::Persistence(f.error.to_string()));
+                    return Err(LedgerError::Persistence(f.error));
                 }
                 // Rename landed: the debit is on disk, keep it.
             }
@@ -620,21 +454,6 @@ impl BudgetLedger {
         rows.sort_by(|a, b| a.tenant.cmp(&b.tenant));
         rows
     }
-}
-
-/// CRC-32 (IEEE 802.3 polynomial, reflected), bitwise — the ledger is tiny
-/// and rewritten rarely, so a lookup table would be wasted space.
-#[must_use]
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
 }
 
 /// Translates a [`DpError`] into the tenant-scoped ledger error.
@@ -737,52 +556,41 @@ mod tests {
         assert!(BudgetLedger::with_persistence(&path).is_err());
         std::fs::write(&path, r#"{"format": "other/9", "tenants": {}}"#).unwrap();
         assert!(BudgetLedger::with_persistence(&path).is_err());
+        // The unchecksummed v1 format is refused too, never guessed at.
+        std::fs::write(&path, r#"{"format": "privbayes-ledger/1", "tenants": {}}"#).unwrap();
+        assert!(BudgetLedger::with_persistence(&path).is_err());
         std::fs::remove_file(&path).unwrap();
     }
 
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // The classic check value for the IEEE polynomial.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
+    /// A two-tenant ledger exactly as `privbayes-ledger/2` has always been
+    /// written: existing files must keep loading, so these bytes are fixed.
+    const PINNED_LEDGER: &str = r#"{
+  "format": "privbayes-ledger/2",
+  "crc": "5a7d1c1f",
+  "tenants": {
+    "acme": {
+      "total": 1.6,
+      "spent": 0.48
+    },
+    "globex": {
+      "total": 0.5,
+      "spent": 0
     }
+  }
+}
+"#;
 
     #[test]
     fn writes_are_v2_with_crc() {
         let path = temp_path("v2");
         let _ = std::fs::remove_file(&path);
         let ledger = BudgetLedger::with_persistence(&path).unwrap();
-        ledger.register("acme", 1.0).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains(LEDGER_FORMAT_V2), "writes use the v2 format");
-        assert!(text.contains("\"crc\""), "v2 records carry a checksum");
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn v1_files_still_load_and_upgrade_on_mutation() {
-        let path = temp_path("v1-compat");
-        // Hand-build a v1 file exactly as the previous release wrote them.
-        let mut budget = PrivacyBudget::new(1.6).unwrap();
-        budget.consume(0.48).unwrap();
-        let v1 = Json::object(vec![
-            ("format", Json::String(LEDGER_FORMAT.to_string())),
-            ("tenants", Json::Object(vec![("acme".to_string(), budget_to_json(&budget))])),
-        ])
-        .to_string_pretty()
-        .unwrap();
-        std::fs::write(&path, v1).unwrap();
-
-        let ledger = BudgetLedger::with_persistence(&path).unwrap();
-        let row = ledger.budget("acme").unwrap();
-        assert_eq!(row.total.to_bits(), 1.6f64.to_bits());
-        assert_eq!(row.spent.to_bits(), 0.48f64.to_bits());
-
-        // The first mutation rewrites the file in v2.
-        ledger.charge("acme", 0.1).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains(LEDGER_FORMAT_V2));
-        assert!(BudgetLedger::with_persistence(&path).is_ok(), "upgraded file round-trips");
+        ledger.register("acme", 1.6).unwrap();
+        ledger.register("globex", 0.5).unwrap();
+        ledger.charge("acme", 0.48).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), PINNED_LEDGER);
+        let restored = BudgetLedger::with_persistence(&path).unwrap();
+        assert_eq!(restored.snapshot(), ledger.snapshot(), "pinned bytes load back exactly");
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -822,7 +630,7 @@ mod tests {
         for (i, &(fault, survives)) in cases.iter().enumerate() {
             let path = temp_path(&format!("kill-{i}"));
             let _ = std::fs::remove_file(&path);
-            let tmp = path.with_extension("tmp");
+            let tmp = durable::temp_path(&path);
             let _ = std::fs::remove_file(&tmp);
 
             // Pre-state on disk: acme has spent 0.25 of 2.0.
@@ -875,7 +683,7 @@ mod tests {
         assert!(matches!(ledger.charge("acme", 0.5), Err(LedgerError::Persistence(_))));
         drop(ledger);
 
-        let tmp = path.with_extension("tmp");
+        let tmp = durable::temp_path(&path);
         assert!(tmp.exists(), "the torn temp file is left behind, as after a real crash");
         // Restart ignores the garbage temp file and the next mutation
         // overwrites it.
@@ -885,6 +693,32 @@ mod tests {
         assert!(BudgetLedger::with_persistence(&path).is_ok());
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&tmp);
+    }
+
+    #[test]
+    fn a_ledger_named_tmp_is_never_its_own_temp_file() {
+        use crate::fault::{Fault, FaultPlan, FaultSite, LedgerStep};
+
+        let path =
+            std::env::temp_dir().join(format!("privbayes-ledger-named-{}.tmp", std::process::id()));
+        for fault in [Fault::ShortWrite, Fault::CrashAt(LedgerStep::SyncTmp)] {
+            let _ = std::fs::remove_file(&path);
+            let ledger = BudgetLedger::with_persistence(&path).unwrap();
+            ledger.register("acme", 2.0).unwrap();
+            ledger.charge("acme", 0.25).unwrap();
+            let plan = FaultPlan::new().inject(FaultSite::LedgerPersist, 0, fault);
+            ledger.set_fault_plan(Some(Arc::new(plan)));
+            assert!(ledger.charge("acme", 0.25).is_err());
+            drop(ledger);
+            // The crash hit the temp file only: the live ledger still holds
+            // the pre-mutation balance.
+            let restored = BudgetLedger::with_persistence(&path)
+                .unwrap_or_else(|e| panic!("{fault:?}: torn ledger: {e}"));
+            let spent = restored.budget("acme").unwrap().spent;
+            assert_eq!(spent.to_bits(), 0.25f64.to_bits(), "{fault:?}: found spent {spent}");
+            let _ = std::fs::remove_file(durable::temp_path(&path));
+        }
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -70,6 +70,7 @@
 
 pub mod cache;
 pub mod client;
+mod durable;
 pub mod error;
 #[cfg(any(test, feature = "fault-injection"))]
 pub mod fault;
@@ -92,7 +93,7 @@ pub use ingest::{
     TenantIngest, DATASET_FORMAT,
 };
 pub use ledger::{
-    BudgetLedger, LedgerError, LedgerObserver, TenantBudget, DEFAULT_LEDGER_STRIPES, LEDGER_FORMAT,
+    BudgetLedger, LedgerError, LedgerObserver, TenantBudget, DEFAULT_LEDGER_STRIPES,
     LEDGER_FORMAT_V2,
 };
 pub use metrics::{ServerMetrics, REQUEST_ID_HEADER};

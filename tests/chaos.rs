@@ -24,7 +24,7 @@
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Once};
 use std::time::Duration;
@@ -59,6 +59,11 @@ fn quiet_injected_panics() {
 
 fn temp_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("privbayes-chaos-{tag}-{}.json", std::process::id()))
+}
+
+/// The sibling temp file a persist of `path` writes through.
+fn temp_file_of(path: &Path) -> PathBuf {
+    PathBuf::from(format!("{}.tmp", path.display()))
 }
 
 /// A small fixture model (3 attributes, 400 source rows).
@@ -139,7 +144,7 @@ fn killing_persistence_at_every_step_recovers_a_consistent_ledger() {
     for &(fault, survives, tag) in cases {
         let path = temp_path(&format!("kill-{tag}"));
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(path.with_extension("tmp"));
+        let _ = std::fs::remove_file(temp_file_of(&path));
 
         // Process one: a clean history, then a charge whose persist dies.
         {
@@ -173,34 +178,8 @@ fn killing_persistence_at_every_step_recovers_a_consistent_ledger() {
         restored.charge("t", 0.125).unwrap();
 
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(path.with_extension("tmp"));
+        let _ = std::fs::remove_file(temp_file_of(&path));
     }
-}
-
-/// A ledger written by the v1 (pre-CRC) format still loads, and its first
-/// mutation upgrades the file to the checksummed v2 format in place.
-#[test]
-fn v1_ledger_files_load_and_upgrade_to_v2() {
-    let path = temp_path("v1-upgrade");
-    std::fs::write(
-        &path,
-        r#"{"format": "privbayes-ledger/1", "tenants": {"acme": {"total": 1.5, "spent": 0.25}}}"#,
-    )
-    .unwrap();
-
-    let ledger = BudgetLedger::with_persistence(&path).unwrap();
-    let budget = ledger.budget("acme").unwrap();
-    assert_eq!(budget.total.to_bits(), 1.5f64.to_bits());
-    assert_eq!(budget.spent.to_bits(), 0.25f64.to_bits());
-
-    ledger.charge("acme", 0.25).unwrap();
-    let text = std::fs::read_to_string(&path).unwrap();
-    assert!(text.contains(LEDGER_FORMAT_V2), "first mutation must upgrade the file: {text}");
-    assert!(text.contains("\"crc\""), "v2 files carry a checksum: {text}");
-
-    let reopened = BudgetLedger::with_persistence(&path).unwrap();
-    assert_eq!(reopened.budget("acme").unwrap().spent.to_bits(), 0.5f64.to_bits());
-    let _ = std::fs::remove_file(&path);
 }
 
 // ---------------------------------------------------------------------------
@@ -540,7 +519,7 @@ fn eviction_and_ledger_churn_never_tear_a_keepalive_stream() {
     client.shutdown().unwrap();
     handle.join().unwrap();
     let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(path.with_extension("tmp"));
+    let _ = std::fs::remove_file(temp_file_of(&path));
 }
 
 /// An injected reset on a *reused* connection (`ConnRead` step 1: the first
