@@ -364,11 +364,15 @@ fn run_overload(cfg: &HarnessConfig, artifact: &ReleasedModel) -> OverloadBench 
                     let mut local = Vec::with_capacity(requests_per_client);
                     for r in 0..requests_per_client {
                         let seed = (c * requests_per_client + r) as u64;
-                        let path = format!(
-                            "/models/adult/synth?rows={rows_per_request}&seed={seed}&format=csv"
-                        );
+                        let body = synth_body(rows_per_request, seed);
                         let start = Instant::now();
-                        let response = client.request("GET", &path, None).unwrap();
+                        let response = client
+                            .request(
+                                "POST",
+                                SYNTH_PATH,
+                                Some(("application/json", body.as_bytes())),
+                            )
+                            .unwrap();
                         let ms = start.elapsed().as_secs_f64() * 1e3;
                         let has_retry_after = response.header("retry-after").is_some();
                         if response.code == 200 {
@@ -745,15 +749,28 @@ fn raw_connect(addr: std::net::SocketAddr) -> TcpStream {
     stream
 }
 
-/// Writes one GET by hand and drains the response with a constant-cost tail
-/// scan — no chunked reassembly, no string building — so the timed loops
-/// measure the serving stack rather than client-side parsing. Returns the
-/// bytes read. `keep` picks the `Connection` header; a close response is
-/// drained to EOF, a keep-alive one to the chunked terminator (`0\r\n\r\n`,
-/// unambiguous here because CSV/NDJSON bodies never contain `\r`).
-fn raw_get(stream: &mut TcpStream, buf: &mut [u8], path: &str, keep: bool) -> usize {
+/// The synthesis route of the `adult` model the serving scenarios load.
+const SYNTH_PATH: &str = "/v1/models/adult/synth";
+
+/// The `/v1` synthesis body of a default CSV spec.
+fn synth_body(rows: usize, seed: u64) -> String {
+    format!(r#"{{"rows": {rows}, "seed": {seed}}}"#)
+}
+
+/// Writes one `/v1` synth POST by hand and drains the response with a
+/// constant-cost tail scan — no chunked reassembly, no string building — so
+/// the timed loops measure the serving stack rather than client-side
+/// parsing. Returns the bytes read. `keep` picks the `Connection` header; a
+/// close response is drained to EOF, a keep-alive one to the chunked
+/// terminator (`0\r\n\r\n`, unambiguous here because CSV/NDJSON bodies
+/// never contain `\r`).
+fn raw_synth(stream: &mut TcpStream, buf: &mut [u8], rows: usize, seed: u64, keep: bool) -> usize {
     let connection = if keep { "keep-alive" } else { "close" };
-    let request = format!("GET {path} HTTP/1.1\r\nConnection: {connection}\r\n\r\n");
+    let body = synth_body(rows, seed);
+    let request = format!(
+        "POST {SYNTH_PATH} HTTP/1.1\r\nConnection: {connection}\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
     stream.write_all(request.as_bytes()).expect("write request");
     let mut total = 0usize;
     let mut tail = [0u8; 7];
@@ -808,9 +825,11 @@ fn run_scaling(cfg: &HarnessConfig, data: &Dataset, artifact: &ReleasedModel) ->
         .unwrap();
     let mut expected = Vec::new();
     write_csv(&direct, &mut expected).unwrap();
-    let check_path = format!("/models/adult/synth?rows={check_rows}&seed=7&format=csv");
+    let check_body = synth_body(check_rows, 7);
     // `Client::request` is always a fresh `Connection: close` exchange.
-    let closed = client.request("GET", &check_path, None).unwrap();
+    let closed = client
+        .request("POST", SYNTH_PATH, Some(("application/json", check_body.as_bytes())))
+        .unwrap();
     assert_eq!(closed.code, 200);
     assert_eq!(closed.body, expected, "close-connection stream must match the batch path");
     // `Client::synth` rides the pooled keep-alive path: first cold, then
@@ -836,9 +855,8 @@ fn run_scaling(cfg: &HarnessConfig, data: &Dataset, artifact: &ReleasedModel) ->
     let start = Instant::now();
     for r in 0..requests {
         let seed = 100_000 + r as u64;
-        let path = format!("/models/adult/synth?rows={rows_per_request}&seed={seed}&format=csv");
         let mut stream = raw_connect(addr);
-        let n = raw_get(&mut stream, &mut buf, &path, false);
+        let n = raw_synth(&mut stream, &mut buf, rows_per_request, seed, false);
         assert!(n > rows_per_request, "a streamed response is at least a byte per row");
     }
     let cold_close = (requests * rows_per_request) as f64 / start.elapsed().as_secs_f64();
@@ -849,9 +867,7 @@ fn run_scaling(cfg: &HarnessConfig, data: &Dataset, artifact: &ReleasedModel) ->
         let mut stream = raw_connect(addr);
         for r in 0..requests {
             let seed = 200_000 + r as u64;
-            let path =
-                format!("/models/adult/synth?rows={rows_per_request}&seed={seed}&format=csv");
-            let n = raw_get(&mut stream, &mut buf, &path, true);
+            let n = raw_synth(&mut stream, &mut buf, rows_per_request, seed, true);
             assert!(n > rows_per_request);
         }
     }
@@ -865,11 +881,8 @@ fn run_scaling(cfg: &HarnessConfig, data: &Dataset, artifact: &ReleasedModel) ->
             scope.spawn(|| {
                 let mut buf = vec![0u8; 64 * 1024];
                 let mut stream = raw_connect(addr);
-                let path = format!(
-                    "/models/adult/synth?rows={rows_per_request}&seed={hot_seed}&format=csv"
-                );
                 for _ in 0..requests {
-                    let n = raw_get(&mut stream, &mut buf, &path, true);
+                    let n = raw_synth(&mut stream, &mut buf, rows_per_request, hot_seed, true);
                     assert!(n > rows_per_request);
                 }
             });

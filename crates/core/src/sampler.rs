@@ -523,6 +523,14 @@ impl RowStream<'_> {
         self.weighted
     }
 
+    /// Advances past the next chunk without sampling it. Each chunk's RNG
+    /// depends only on `(base, chunk index)`, so the chunks after it are
+    /// exactly those of the unskipped stream.
+    pub fn skip_chunk(&mut self) {
+        let chunk_end = (self.next_row / CHUNK_ROWS + 1) * CHUNK_ROWS;
+        self.next_row = chunk_end.min(self.rows);
+    }
+
     /// Copies the projected columns of `tuple` into an owned row.
     fn project(&self, tuple: &[u32]) -> Vec<u32> {
         match &self.projection {
@@ -909,6 +917,31 @@ mod tests {
         let _ = compiled.sample_dataset(10, None, &mut a).unwrap();
         let _ = compiled.stream_rows(10, &mut b).count();
         assert_eq!(a.next_u64(), b.next_u64(), "RNG must advance identically");
+    }
+
+    #[test]
+    fn skipped_chunks_leave_the_later_chunks_unchanged() {
+        let data = copy_chain_data(400);
+        let net = BayesianNetwork::new(
+            vec![ApPair::new(0, vec![]), ApPair::new(1, vec![0]), ApPair::new(2, vec![1])],
+            data.schema(),
+        )
+        .unwrap();
+        let model =
+            noisy_conditionals_general(&data, &net, Some(0.8), &mut StdRng::seed_from_u64(3))
+                .unwrap();
+        let compiled = model.compile(data.schema()).unwrap();
+        let rows = 3 * CHUNK_ROWS + 5;
+        let full: Vec<_> = compiled.stream_rows(rows, &mut StdRng::seed_from_u64(8)).collect();
+        // Skip chunks 0 and 2, sample 1 and 3.
+        let mut stream = compiled.stream_rows(rows, &mut StdRng::seed_from_u64(8));
+        stream.skip_chunk();
+        assert_eq!(stream.next().as_ref(), Some(&full[1]));
+        stream.skip_chunk();
+        assert_eq!(stream.remaining_rows(), 5);
+        assert_eq!(stream.next().as_ref(), Some(&full[3]));
+        stream.skip_chunk();
+        assert_eq!(stream.next(), None, "skipping past the end is a no-op");
     }
 
     #[test]

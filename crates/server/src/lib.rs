@@ -23,8 +23,7 @@
 //!   cursor-resumable streams) and streams CSV or NDJSON rows with chunked
 //!   transfer encoding, one HTTP chunk per sampler chunk;
 //!   `POST /v1/models/{id}/query` answers [`MarginalQuery`]s exactly from
-//!   the released θ. The legacy `GET /models/{id}/synth` is kept as an
-//!   alias that desugars to a default spec with unchanged bytes.
+//!   the released θ.
 //!
 //! # The determinism contract
 //!

@@ -110,7 +110,7 @@ pub enum GenerationLookup {
 ///
 /// The map itself lives behind an [`Arc`] snapshot: readers clone the
 /// current snapshot pointer under a momentary read lock and then walk it
-/// with no lock held, so `GET /synth` lookups never contend with a
+/// with no lock held, so synth lookups never contend with a
 /// load/evict holding the write lock mid-rebuild.
 #[derive(Debug)]
 pub struct ModelRegistry {

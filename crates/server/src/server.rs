@@ -12,7 +12,6 @@
 //! | `DELETE /models/{id}` | evict from the registry |
 //! | `POST /v1/models/{id}/synth` | stream rows per a [`SynthSpec`] JSON body (evidence, projection, cursor resume) |
 //! | `POST /v1/models/{id}/query` | answer a [`MarginalQuery`] exactly from the released θ |
-//! | `GET /models/{id}/synth?rows=N&seed=S&format=csv\|jsonl` | legacy alias: desugars to a default spec |
 //! | `POST /fit` | fit + register a model, debiting the tenant's ε |
 //! | `GET /tenants` | ledger snapshot |
 //! | `PUT /tenants/{id}?budget=E` | register a tenant |
@@ -64,9 +63,7 @@
 //! `(model generation, seed, format, chunk index, rows)` and replayed as a
 //! memcpy on repeat — the bytes are identical by construction, and the
 //! generation key means a reloaded model can never replay its predecessor's
-//! blocks. The legacy `GET` route desugars to a `SynthSpec` with no
-//! evidence, no projection, and no cursor, whose bytes are the pre-v1 bytes
-//! exactly; a cursor-resumed stream yields exactly the suffix of its
+//! blocks. A cursor-resumed stream yields exactly the suffix of its
 //! uninterrupted counterpart. Shutdown closes the accept loop first, then
 //! lets every queued and in-flight request complete (idle parked
 //! connections are simply closed).
@@ -103,7 +100,6 @@ use crate::ingest::{parse_batch, BatchFormat, DatasetStore, RefitJob, RefitPolic
 use crate::ledger::{BudgetLedger, LedgerError, LedgerObserver, TenantBudget};
 use crate::metrics::{RequestCtx, ServerMetrics, REQUEST_ID_HEADER};
 use crate::registry::{GenerationLookup, ModelEntry, ModelRegistry};
-use crate::stream::RowFormat;
 #[cfg(any(test, feature = "fault-injection"))]
 use std::sync::RwLock;
 
@@ -935,7 +931,6 @@ fn route<W: Write>(
                 respond_error(out, ctx, 404, "model-not-found", id)
             }
         }
-        ("GET", ["models", id, "synth"]) => synth_legacy(shared, id, req, out, deadline, ctx),
         ("POST", ["v1", "models", id, "synth"]) => synth_v1(shared, id, req, out, deadline, ctx),
         ("POST", ["v1", "models", id, "query"]) => query_v1(shared, id, req, out, ctx),
         ("GET", ["v1", "models", id, "generations"]) => generations_v1(shared, id, out, ctx),
@@ -999,20 +994,7 @@ fn route<W: Write>(
             result
         }
         // A known path with the wrong method is 405; an unknown path is 404.
-        (
-            _,
-            ["healthz"]
-            | ["metrics"]
-            | ["models"]
-            | ["models", _]
-            | ["models", _, "synth"]
-            | ["v1", "models", _, "synth" | "query" | "generations"]
-            | ["v1", "tenants", _, "ingest"]
-            | ["fit"]
-            | ["tenants"]
-            | ["tenants", _]
-            | ["shutdown"],
-        ) => {
+        _ if endpoint_label(&segments) != "unknown" => {
             ctx.endpoint.set(endpoint_label(&segments));
             respond_error(out, ctx, 405, "method-not-allowed", &req.method)
         }
@@ -1027,7 +1009,7 @@ fn endpoint_label(segments: &[&str]) -> &'static str {
         ["healthz"] => "healthz",
         ["metrics"] => "metrics",
         ["models"] | ["models", _] => "models",
-        ["models", _, "synth"] | ["v1", "models", _, "synth"] => "synth",
+        ["v1", "models", _, "synth"] => "synth",
         ["v1", "models", _, "query"] => "query",
         ["v1", "models", _, "generations"] => "generations",
         ["v1", "tenants", _, "ingest"] => "ingest",
@@ -1067,51 +1049,6 @@ fn load_model<W: Write>(
         }
         Err(e) => respond_error(out, ctx, 400, "invalid-model", &e.to_string()),
     }
-}
-
-/// `GET /models/{id}/synth`: the legacy route, kept as an alias that
-/// desugars the query parameters into a default [`SynthSpec`] (no evidence,
-/// no projection, no cursor). Its bytes for a fixed `(model, seed, rows,
-/// format)` are the pre-v1 bytes exactly.
-///
-/// [`SynthSpec`]: privbayes_synth::SynthSpec
-fn synth_legacy<W: Write>(
-    shared: &Shared,
-    id: &str,
-    req: &Request,
-    out: &mut W,
-    deadline: Instant,
-    ctx: &RequestCtx<'_>,
-) -> std::io::Result<()> {
-    ctx.endpoint.set("synth");
-    ctx.stage("lookup");
-    let Some(entry) = shared.registry.get(id) else {
-        return respond_error(out, ctx, 404, "model-not-found", id);
-    };
-    let format = match RowFormat::parse(req.query("format")) {
-        Ok(format) => format,
-        Err(e) => return respond_error(out, ctx, 400, "bad-request", &e.to_string()),
-    };
-    let rows = match req.query("rows").map(str::parse::<usize>) {
-        None => None,
-        Some(Ok(rows)) => Some(rows),
-        Some(Err(_)) => return respond_error(out, ctx, 400, "bad-request", "unparsable `rows`"),
-    };
-    let seed = match req.query("seed").map(str::parse::<u64>) {
-        None => None,
-        Some(Ok(seed)) => Some(seed),
-        Some(Err(_)) => return respond_error(out, ctx, 400, "bad-request", "unparsable `seed`"),
-    };
-    let resolved = ResolvedSynth {
-        rows,
-        seed,
-        format,
-        projection: None,
-        evidence: Vec::new(),
-        start_row: 0,
-        generation: None,
-    };
-    stream_synth(shared, &entry, &resolved, out, deadline, ctx)
 }
 
 /// `POST /v1/models/{id}/synth`: parse the [`SynthSpec`] body, resolve it
@@ -1172,12 +1109,11 @@ fn synth_v1<W: Write>(
     stream_synth(shared, &entry, &resolved, out, deadline, ctx)
 }
 
-/// Streams one resolved synthesis request: the shared tail of the legacy
-/// alias and the `/v1` spec route. The response carries `X-PrivBayes-Seed`
-/// (the effective seed, also when the server drew it) and
-/// `X-PrivBayes-Cursor` (the stream's own resume token), and skips the CSV
-/// header on resumed streams so `prefix + resumed` is byte-identical to an
-/// uninterrupted stream.
+/// Streams one resolved synthesis request. The response carries
+/// `X-PrivBayes-Seed` (the effective seed, also when the server drew it)
+/// and `X-PrivBayes-Cursor` (the stream's own resume token), and skips the
+/// CSV header on resumed streams so `prefix + resumed` is byte-identical
+/// to an uninterrupted stream.
 fn stream_synth<W: Write>(
     shared: &Shared,
     entry: &ModelEntry,
@@ -1210,7 +1146,7 @@ fn stream_synth<W: Write>(
         Err(e) => return respond_error(out, ctx, 500, "internal", &e.to_string()),
     };
     let mut rng = StdRng::seed_from_u64(seed);
-    let stream = match sampler.stream_spec(&resolved.sample_spec(rows), &mut rng) {
+    let mut stream = match sampler.stream_spec(&resolved.sample_spec(rows), &mut rng) {
         Ok(stream) => stream,
         Err(e) => return respond_error(out, ctx, 400, "invalid-spec", &e.to_string()),
     };
@@ -1299,100 +1235,51 @@ fn stream_synth<W: Write>(
         && resolved.evidence.is_empty()
         && resolved.projection.is_none()
         && resolved.start_row == 0;
-    if cacheable {
-        // Chunks are absolute-aligned and per-chunk seeded, so a segment
-        // stream started at any chunk boundary yields exactly the chunks
-        // of the full stream — cache hits and misses interleave freely
+    while stream.remaining_rows() > 0 {
+        // Deadline at chunk boundaries: once the response has started the
+        // only honest way to stop is to truncate the chunked stream (no
+        // terminating chunk), which the client decodes as an interrupted
+        // transfer and may resume via the cursor.
+        if Instant::now() >= deadline {
+            finalize(sample_time, write_time, rows_out, bytes_out);
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::TimedOut,
+                "handler deadline expired mid-stream",
+            ));
+        }
+        // Chunks are absolute-aligned and seeded by chunk index, so a hit
+        // skips the sampler past its chunk and hits and misses interleave
         // without changing a byte.
-        let mut segment = Some(stream);
-        let mut next_row = 0usize;
-        while next_row < rows {
-            // Deadline at chunk boundaries: once the response has started
-            // the only honest way to stop is to truncate the chunked
-            // stream (no terminating chunk), which the client decodes as
-            // an interrupted transfer and may resume via the cursor.
-            if Instant::now() >= deadline {
-                finalize(sample_time, write_time, rows_out, bytes_out);
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::TimedOut,
-                    "handler deadline expired mid-stream",
-                ));
-            }
-            let chunk_rows = CHUNK_ROWS.min(rows - next_row);
-            let key = BlockKey {
-                generation: entry.generation,
-                seed,
-                format: resolved.format,
-                chunk_index: next_row / CHUNK_ROWS,
-                rows: chunk_rows,
-            };
-            if let Some(block) = shared.cache.get(&key) {
-                // The sampler position is now stale; rebuild on next miss.
-                segment = None;
-                let write_started = Instant::now();
-                rows_out += chunk_rows as u64;
-                bytes_out += block.len() as u64;
-                chunked.write(block.as_bytes())?;
-                write_time += write_started.elapsed();
-            } else {
-                let sample_started = Instant::now();
-                if segment.is_none() {
-                    let seg = ResolvedSynth {
-                        rows: resolved.rows,
-                        seed: resolved.seed,
-                        format: resolved.format,
-                        projection: None,
-                        evidence: Vec::new(),
-                        start_row: next_row,
-                        generation: resolved.generation,
-                    };
-                    let mut seg_rng = StdRng::seed_from_u64(seed);
-                    match sampler.stream_spec(&seg.sample_spec(rows), &mut seg_rng) {
-                        Ok(s) => segment = Some(s),
-                        Err(e) => {
-                            // The spec already validated once; mid-response
-                            // there is no clean error channel left, so fail
-                            // like a deadline overrun: truncate.
-                            finalize(sample_time, write_time, rows_out, bytes_out);
-                            return Err(std::io::Error::other(e.to_string()));
-                        }
-                    }
-                }
-                let Some(chunk) = segment.as_mut().expect("created above").next() else { break };
-                sample_time += sample_started.elapsed();
-                let write_started = Instant::now();
-                let rendered = resolved.format.render(schema, projection, &chunk);
-                rows_out += chunk.len() as u64;
-                bytes_out += rendered.len() as u64;
-                let block: Arc<str> = Arc::from(rendered);
-                shared.cache.insert(key, Arc::clone(&block));
-                chunked.write(block.as_bytes())?;
-                write_time += write_started.elapsed();
-            }
-            next_row += chunk_rows;
-        }
-    } else {
-        let mut stream = stream;
-        loop {
-            let sample_started = Instant::now();
-            let Some(chunk) = stream.next() else { break };
-            sample_time += sample_started.elapsed();
-            // Same truncation contract as above: the deadline is checked
-            // at chunk boundaries only.
-            if Instant::now() >= deadline {
-                finalize(sample_time, write_time, rows_out, bytes_out);
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::TimedOut,
-                    "handler deadline expired mid-stream",
-                ));
-            }
+        let next_row = rows - stream.remaining_rows();
+        let chunk_rows = CHUNK_ROWS.min(rows - next_row);
+        let key = cacheable.then_some(BlockKey {
+            generation: entry.generation,
+            seed,
+            format: resolved.format,
+            chunk_index: next_row / CHUNK_ROWS,
+            rows: chunk_rows,
+        });
+        if let Some(block) = key.as_ref().and_then(|key| shared.cache.get(key)) {
+            stream.skip_chunk();
             let write_started = Instant::now();
-            let rendered = resolved.format.render(schema, projection, &chunk);
-            rows_out += chunk.len() as u64;
-            bytes_out += rendered.len() as u64;
-            chunked.write(rendered.as_bytes())?;
+            rows_out += chunk_rows as u64;
+            bytes_out += block.len() as u64;
+            chunked.write(block.as_bytes())?;
             write_time += write_started.elapsed();
+            continue;
         }
+        let sample_started = Instant::now();
+        let Some(chunk) = stream.next() else { break };
+        sample_time += sample_started.elapsed();
+        let write_started = Instant::now();
+        let rendered = resolved.format.render(schema, projection, &chunk);
+        rows_out += chunk.len() as u64;
+        bytes_out += rendered.len() as u64;
+        chunked.write(rendered.as_bytes())?;
+        if let Some(key) = key {
+            shared.cache.insert(key, Arc::from(rendered));
+        }
+        write_time += write_started.elapsed();
     }
     let write_started = Instant::now();
     let result = chunked.finish();

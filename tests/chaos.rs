@@ -10,8 +10,9 @@
 //!    and a restart always recovers it (v1 files included).
 //! 2. **Worker isolation** — a panicking handler costs one request, never a
 //!    worker; the pool keeps its full capacity afterwards.
-//! 3. **Byte-exact recovery** — a client resuming a truncated stream via
-//!    cursors reassembles exactly the bytes of an uninterrupted stream.
+//! 3. **Byte-exact recovery** — a client resuming a stream truncated by a
+//!    dead connection or an expired handler deadline reassembles exactly
+//!    the bytes of an uninterrupted stream.
 //! 4. **Graceful overload** — beyond `queue_depth` the server answers 503 +
 //!    `Retry-After` instead of queueing without bound; slow-loris peers are
 //!    reaped with 408.
@@ -121,6 +122,17 @@ fn fast_retry(max_retries: u32) -> RetryPolicy {
         max_delay: Duration::from_millis(5),
         jitter_seed: 7,
     }
+}
+
+/// A raw `POST /v1/models/m/synth` request for `spec` that asks to keep
+/// the connection alive.
+fn keep_alive_synth(spec: &SynthSpec) -> String {
+    let body = spec.to_json().to_string_compact().unwrap();
+    format!(
+        "POST /v1/models/m/synth HTTP/1.1\r\nConnection: keep-alive\r\n\
+         Content-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -261,6 +273,58 @@ fn a_truncated_stream_resumes_to_the_exact_uninterrupted_bytes() {
     let client = Client::new(handle.addr().to_string());
     client.shutdown().unwrap();
     handle.join().unwrap();
+}
+
+/// A handler deadline that expires mid-stream truncates the response: the
+/// 200 head is out, no terminating chunk follows, and the connection
+/// closes although the client asked to keep it alive. A `DelayMs` stall on
+/// a later socket write outlasts the deadline on any machine, so the next
+/// chunk boundary always sees it expired. This holds for a cacheable
+/// stream (its chunks replay from the row-block cache) and for an
+/// evidence + projection stream alike, and a resuming client reassembles
+/// the uninterrupted bytes.
+#[test]
+fn a_deadline_expiring_mid_stream_truncates_and_the_stream_resumes_exactly() {
+    let config =
+        ServerConfig { handler_deadline: Duration::from_secs(1), ..ServerConfig::default() };
+    let (handle, client, slot) = start_server(config);
+    let rows = 6 * privbayes_suite::core::CHUNK_ROWS;
+    let plain = SynthSpec::new().with_rows(rows).with_seed(11);
+    let conditioned = plain.clone().where_eq("region", 1u32).select("disease").select("smoker");
+    // The second socket write stalls past the deadline; the head went out
+    // with the first.
+    let stall = || {
+        let plan = Arc::new(FaultPlan::new().inject(FaultSite::ConnWrite, 1, Fault::DelayMs(1200)));
+        *slot.write().unwrap() = Some(Arc::clone(&plan));
+        plan
+    };
+    for spec in [plain, conditioned] {
+        let reference = client.synth_with("m", &spec).unwrap().text();
+
+        let plan = stall();
+        let mut raw = TcpStream::connect(handle.addr()).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        raw.write_all(keep_alive_synth(&spec).as_bytes()).unwrap();
+        let mut response = Vec::new();
+        raw.read_to_end(&mut response).expect("the server must close the connection");
+        assert_eq!(plan.fired(), 1, "the stall must fire");
+        assert!(response.starts_with(b"HTTP/1.1 200"), "the head precedes the stall");
+        assert!(!response.ends_with(b"\r\n0\r\n\r\n"), "a truncated stream has no terminator");
+
+        let plan = stall();
+        let assembled = client.clone().with_retry(fast_retry(4)).synth_resuming("m", &spec);
+        assert_eq!(plan.fired(), 1, "the stall must fire");
+        assert_eq!(
+            assembled.unwrap(),
+            reference,
+            "resumed bytes must equal the uninterrupted ones"
+        );
+        *slot.write().unwrap() = None;
+    }
+
+    client.shutdown().unwrap();
+    let stats = handle.join().unwrap();
+    assert_eq!(stats.panics, 0, "{stats:?}");
 }
 
 // ---------------------------------------------------------------------------
@@ -532,7 +596,7 @@ fn a_reset_on_a_reused_connection_fails_cleanly_and_recovery_is_byte_exact() {
     let (handle, client, slot) = start_server(ServerConfig::default());
     let addr = handle.addr();
     let rows = 2 * privbayes_suite::core::CHUNK_ROWS + 57;
-    let path = format!("/models/m/synth?rows={rows}&seed=5&format=csv");
+    let request = keep_alive_synth(&SynthSpec::new().with_rows(rows).with_seed(5));
 
     // Install the plan before any connection exists: each connection
     // captures the live plan at accept time.
@@ -543,8 +607,7 @@ fn a_reset_on_a_reused_connection_fails_cleanly_and_recovery_is_byte_exact() {
     // 0, clean — the full response arrives.
     let mut raw = TcpStream::connect(addr).unwrap();
     raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    raw.write_all(format!("GET {path} HTTP/1.1\r\nConnection: keep-alive\r\n\r\n").as_bytes())
-        .unwrap();
+    raw.write_all(request.as_bytes()).unwrap();
     let mut response = Vec::new();
     let mut buf = [0u8; 8192];
     while !response.ends_with(b"\r\n0\r\n\r\n") {
@@ -561,8 +624,7 @@ fn a_reset_on_a_reused_connection_fails_cleanly_and_recovery_is_byte_exact() {
 
     // Request 2 on the dead connection fails *cleanly*: the write may be
     // buffered, but no partial second response ever arrives.
-    let _ =
-        raw.write_all(format!("GET {path} HTTP/1.1\r\nConnection: keep-alive\r\n\r\n").as_bytes());
+    let _ = raw.write_all(request.as_bytes());
     // EOF and ECONNRESET are equally clean — both read as "no bytes".
     let after = raw.read(&mut buf).unwrap_or_default();
     assert_eq!(after, 0, "a killed connection must never deliver a partial response");

@@ -464,11 +464,14 @@ fn every_response_shape_carries_a_request_id() {
         ("csv", Json::String(csv)),
     ]);
 
+    let synth = |path: &str, body: &str| {
+        client.request("POST", path, Some(("application/json", body.as_bytes()))).unwrap()
+    };
     let shapes: Vec<(u16, privbayes_suite::server::http::Response)> = vec![
         (200, client.request("GET", "/healthz", None).unwrap()),
-        (400, client.request("GET", "/models/m/synth?rows=abc", None).unwrap()),
+        (400, synth("/v1/models/m/synth", r#"{"rows": "abc"}"#)),
         (402, client.fit_raw(&over_budget).unwrap()),
-        (404, client.request("GET", "/models/ghost/synth?rows=5&seed=1", None).unwrap()),
+        (404, synth("/v1/models/ghost/synth", r#"{"rows": 5, "seed": 1}"#)),
         (405, client.request("POST", "/healthz", None).unwrap()),
     ];
     for (expected, response) in &shapes {
@@ -511,6 +514,51 @@ fn every_response_shape_carries_a_request_id() {
             "missing {endpoint}/{status} in scrape"
         );
     }
+
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+}
+
+/// Every known path asked with a method it does not serve answers 405 and
+/// is counted under the endpoint it aimed at; a path no endpoint knows,
+/// such as `GET /models/{id}/synth`, answers 404.
+#[test]
+fn wrong_methods_answer_405_under_their_endpoint_and_unknown_paths_404() {
+    let (handle, client, _registry, _slot) =
+        start_server(ServerConfig { workers: 1, fit_threads: Some(1), ..ServerConfig::default() });
+    let wrong = [
+        ("POST", "/healthz", "healthz"),
+        ("DELETE", "/metrics", "metrics"),
+        ("POST", "/models", "models"),
+        ("POST", "/models/m", "models"),
+        ("GET", "/v1/models/m/synth", "synth"),
+        ("GET", "/v1/models/m/query", "query"),
+        ("POST", "/v1/models/m/generations", "generations"),
+        ("GET", "/v1/tenants/t/ingest", "ingest"),
+        ("GET", "/fit", "fit"),
+        ("POST", "/tenants", "tenants"),
+        ("POST", "/tenants/t", "tenants"),
+        ("GET", "/shutdown", "shutdown"),
+    ];
+    for (method, path, _) in wrong {
+        let response = client.request(method, path, None).unwrap();
+        assert_eq!(response.code, 405, "{method} {path}: {}", response.text());
+    }
+    for path in ["/models/m/synth", "/v1/models/m", "/nope"] {
+        let response = client.request("GET", path, None).unwrap();
+        assert_eq!(response.code, 404, "GET {path}: {}", response.text());
+        assert!(response.text().contains("\"not-found\""), "{}", response.text());
+    }
+    let total = wrong.len() as u64 + 3;
+    assert!(eventually(|| handle.stats().requests == total));
+    let snap = client.metrics().unwrap();
+    for (_, _, endpoint) in wrong {
+        let expected = wrong.iter().filter(|w| w.2 == endpoint).count() as f64;
+        let labels = [("endpoint", endpoint), ("status", "405")];
+        assert_eq!(counter(&snap, "privbayes_requests_total", &labels), expected, "{endpoint}");
+    }
+    let labels = [("endpoint", "unknown"), ("status", "404")];
+    assert_eq!(counter(&snap, "privbayes_requests_total", &labels), 3.0);
 
     client.shutdown().unwrap();
     handle.join().unwrap();

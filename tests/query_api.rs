@@ -12,10 +12,9 @@
 //! 4. **Marginal queries** — `/v1/models/{id}/query` answers are
 //!    bit-identical to the independent θ-projection oracle in
 //!    `privbayes_bench::reference`.
-//! 5. **Compatibility and error shape** — the legacy `GET` synth route and
-//!    an empty `/v1` spec produce the PR 4 bytes unchanged; spec mistakes
-//!    come back `400` with the structured `invalid-spec` body; every
-//!    response carries `Content-Type` and `X-PrivBayes-Api: v1`.
+//! 5. **Error shape** — spec mistakes come back `400` with the structured
+//!    `invalid-spec` body; every response carries `Content-Type` and
+//!    `X-PrivBayes-Api: v1`.
 
 use std::sync::Arc;
 
@@ -300,22 +299,6 @@ fn projection_is_byte_equivalent_to_post_hoc_column_dropping() {
 }
 
 #[test]
-fn v1_default_spec_reproduces_the_legacy_stream_bytes() {
-    let (handle, client) = start_server();
-    for format in ["csv", "jsonl"] {
-        let legacy = client.synth("m", 1500, 42, format).unwrap();
-        let spec = SynthSpec::new()
-            .with_rows(1500)
-            .with_seed(42)
-            .with_format(privbayes_suite::synth::RowFormat::parse(Some(format)).unwrap());
-        let v1 = client.synth_with("m", &spec).unwrap();
-        assert_eq!(v1.text(), legacy, "format {format}: /v1 must alias the legacy bytes");
-    }
-    client.shutdown().unwrap();
-    handle.join().unwrap();
-}
-
-#[test]
 fn cursor_resume_is_byte_identical_to_an_uninterrupted_stream() {
     let (handle, client) = start_server();
     let rows = 2 * CHUNK_ROWS + 137;
@@ -449,7 +432,8 @@ fn spec_failures_are_structured_invalid_spec_responses() {
     assert!(body.contains("probability zero"), "{body}");
 
     // Error responses carry the content-type and API headers too.
-    let response = client.request("GET", "/models/nope/synth", None).unwrap();
+    let response =
+        client.request("POST", "/v1/models/nope/synth", Some(("application/json", b"{}"))).unwrap();
     assert_eq!(response.code, 404);
     assert_eq!(response.header("content-type"), Some("application/json"));
     assert_eq!(response.header("x-privbayes-api"), Some("v1"));

@@ -55,21 +55,31 @@ fn fixture_model(seed: u64) -> ReleasedModel {
     .unwrap()
 }
 
+/// The synthesis route of the fixture model `m`.
+const SYNTH_PATH: &str = "/v1/models/m/synth";
+
+/// The `/v1` synthesis body of a default CSV spec.
+fn synth_body(rows: usize, seed: u64) -> String {
+    format!(r#"{{"rows": {rows}, "seed": {seed}}}"#)
+}
+
 /// Starts a server with the fixture model loaded as `m` and a fresh
 /// registry/ledger; returns (handle, client, registry, ledger).
 fn start_server(
     workers: usize,
 ) -> (privbayes_suite::server::ServerHandle, Client, Arc<ModelRegistry>, Arc<BudgetLedger>) {
+    start_server_with(ServerConfig { workers, fit_threads: Some(1), ..ServerConfig::default() })
+}
+
+/// [`start_server`] with a caller-chosen configuration.
+fn start_server_with(
+    config: ServerConfig,
+) -> (privbayes_suite::server::ServerHandle, Client, Arc<ModelRegistry>, Arc<BudgetLedger>) {
     let registry = Arc::new(ModelRegistry::new());
     registry.load("m", fixture_model(1)).unwrap();
     let ledger = Arc::new(BudgetLedger::in_memory());
-    let server = Server::bind(
-        "127.0.0.1:0",
-        ServerConfig { workers, fit_threads: Some(1), ..ServerConfig::default() },
-        Arc::clone(&registry),
-        Arc::clone(&ledger),
-    )
-    .unwrap();
+    let server =
+        Server::bind("127.0.0.1:0", config, Arc::clone(&registry), Arc::clone(&ledger)).unwrap();
     let handle = server.spawn();
     let client = Client::new(handle.addr().to_string());
     (handle, client, registry, ledger)
@@ -83,15 +93,7 @@ fn concurrent_streams_are_byte_identical_to_the_batch_path() {
     let seed = 42u64;
 
     // The reference bytes come from the direct batch sampler.
-    let entry = registry.get("m").unwrap();
-    let direct = entry
-        .sampler()
-        .unwrap()
-        .sample_dataset(rows, None, &mut StdRng::seed_from_u64(seed))
-        .unwrap();
-    let mut expected = Vec::new();
-    write_csv(&direct, &mut expected).unwrap();
-    let expected = String::from_utf8(expected).unwrap();
+    let expected = batch_csv(&registry, rows, seed);
 
     // 8 concurrent clients, same request: every stream must be identical.
     let bodies: Vec<String> = std::thread::scope(|scope| {
@@ -118,14 +120,7 @@ fn concurrent_streams_are_byte_identical_to_the_batch_path() {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
     for (s, body) in per_seed {
-        let direct = entry
-            .sampler()
-            .unwrap()
-            .sample_dataset(300, None, &mut StdRng::seed_from_u64(s))
-            .unwrap();
-        let mut expected = Vec::new();
-        write_csv(&direct, &mut expected).unwrap();
-        assert_eq!(body.as_bytes(), &expected[..], "seed {s}");
+        assert_eq!(body, batch_csv(&registry, 300, s), "seed {s}");
     }
 
     // JSONL carries the same tuples: spot-check the line count.
@@ -295,21 +290,18 @@ fn a_kept_alive_connection_serves_byte_identical_streams_back_to_back() {
     let rows = privbayes_suite::core::CHUNK_ROWS + 201;
     let seed = 13u64;
 
-    let entry = registry.get("m").unwrap();
-    let direct = entry
-        .sampler()
-        .unwrap()
-        .sample_dataset(rows, None, &mut StdRng::seed_from_u64(seed))
-        .unwrap();
-    let mut expected = Vec::new();
-    write_csv(&direct, &mut expected).unwrap();
-    let expected = String::from_utf8(expected).unwrap();
-
-    let path = format!("/models/m/synth?rows={rows}&seed={seed}&format=csv");
+    let expected = batch_csv(&registry, rows, seed);
+    let body = synth_body(rows, seed);
     let mut stream = TcpStream::connect(handle.addr()).unwrap();
     stream.set_read_timeout(Some(std::time::Duration::from_secs(30))).unwrap();
     for pass in ["cold", "cached"] {
-        write!(stream, "GET {path} HTTP/1.1\r\nHost: x\r\nConnection: keep-alive\r\n\r\n").unwrap();
+        write!(
+            stream,
+            "POST {SYNTH_PATH} HTTP/1.1\r\nHost: x\r\nConnection: keep-alive\r\n\
+             Content-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+        .unwrap();
         let (head, body) = read_chunked_response(&mut stream);
         assert!(head.starts_with("HTTP/1.1 200"), "{pass}: {head}");
         assert!(
@@ -321,7 +313,8 @@ fn a_kept_alive_connection_serves_byte_identical_streams_back_to_back() {
     drop(stream);
 
     // `Connection: close` is still honored per request, bytes unchanged.
-    let closed = client.request("GET", &path, None).unwrap();
+    let closed =
+        client.request("POST", SYNTH_PATH, Some(("application/json", body.as_bytes()))).unwrap();
     assert_eq!(closed.code, 200);
     assert_eq!(closed.header("connection"), Some("close"));
     assert_eq!(closed.text(), expected);
@@ -329,6 +322,45 @@ fn a_kept_alive_connection_serves_byte_identical_streams_back_to_back() {
     client.shutdown().unwrap();
     let stats = handle.join().unwrap();
     assert_eq!(stats.panics, 0, "{stats:?}");
+}
+
+/// The batch path's CSV for `rows` rows of model `m` at `seed`.
+fn batch_csv(registry: &ModelRegistry, rows: usize, seed: u64) -> String {
+    let entry = registry.get("m").unwrap();
+    let direct = entry
+        .sampler()
+        .unwrap()
+        .sample_dataset(rows, None, &mut StdRng::seed_from_u64(seed))
+        .unwrap();
+    let mut csv = Vec::new();
+    write_csv(&direct, &mut csv).unwrap();
+    String::from_utf8(csv).unwrap()
+}
+
+/// A stream whose first chunk replays from the row-block cache and whose
+/// later chunks miss it (chunk 1 was cached only as a short final chunk),
+/// and the same streams on a server with the cache switched off, all equal
+/// the batch path.
+#[test]
+fn partial_cache_hits_and_a_disabled_cache_stream_the_batch_bytes() {
+    let chunk = privbayes_suite::core::CHUNK_ROWS;
+    for cache_bytes in [ServerConfig::default().cache_bytes, 0] {
+        let (handle, client, registry, _ledger) =
+            start_server_with(ServerConfig { workers: 2, cache_bytes, ..ServerConfig::default() });
+        for rows in [chunk + 123, 3 * chunk] {
+            assert_eq!(
+                client.synth("m", rows, 21, "csv").unwrap(),
+                batch_csv(&registry, rows, 21),
+                "{rows} rows with a {cache_bytes}-byte cache must equal the batch path"
+            );
+        }
+        let snapshot = client.metrics().unwrap();
+        let hits = snapshot.value("privbayes_rowblock_cache_hits_total", &[]).unwrap_or(0.0);
+        assert_eq!(hits, if cache_bytes == 0 { 0.0 } else { 1.0 }, "only chunk 0 may hit");
+        client.shutdown().unwrap();
+        let stats = handle.join().unwrap();
+        assert_eq!(stats.panics, 0, "{stats:?}");
+    }
 }
 
 /// Sends raw `bytes`, half-closes the write side, and returns whatever the
@@ -379,9 +411,13 @@ fn malformed_requests_get_structured_errors_and_never_wedge_workers() {
     // the server's next write fails and the worker moves on.
     {
         let mut stream = TcpStream::connect(addr).unwrap();
-        let rows = 8 * privbayes_suite::core::CHUNK_ROWS;
-        write!(stream, "GET /models/m/synth?rows={rows}&seed=1&format=csv HTTP/1.1\r\n\r\n")
-            .unwrap();
+        let body = synth_body(8 * privbayes_suite::core::CHUNK_ROWS, 1);
+        write!(
+            stream,
+            "POST {SYNTH_PATH} HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+        .unwrap();
         let mut first = [0u8; 256];
         let n = stream.read(&mut first).unwrap();
         assert!(n > 0, "the stream must have started before the disconnect");
@@ -451,14 +487,15 @@ fn registry_and_tenant_endpoints_round_trip() {
     assert_eq!(resp.code, 405);
     let resp = client.request("DELETE", "/tenants/t1", None).unwrap();
     assert_eq!(resp.code, 405);
-    let resp = client.request("GET", "/models/m/synth?rows=abc", None).unwrap();
-    assert_eq!(resp.code, 400);
+    let synth = |body: &str| {
+        client.request("POST", SYNTH_PATH, Some(("application/json", body.as_bytes()))).unwrap()
+    };
+    assert_eq!(synth(r#"{"rows": "abc"}"#).code, 400);
     // An absurd row count is rejected up front instead of pinning a worker.
-    let resp = client.request("GET", "/models/m/synth?rows=18446744073709551615", None).unwrap();
+    let resp = synth(r#"{"rows": 4503599627370496}"#);
     assert_eq!(resp.code, 400);
     assert!(resp.text().contains("too-many-rows"), "{}", resp.text());
-    let resp = client.request("GET", "/models/m/synth?seed=1&format=xml", None).unwrap();
-    assert_eq!(resp.code, 400);
+    assert_eq!(synth(r#"{"seed": 1, "format": "xml"}"#).code, 400);
 
     client.shutdown().unwrap();
     handle.join().unwrap();
