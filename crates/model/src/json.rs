@@ -12,6 +12,7 @@
 //! [`MAX_DEPTH`] is rejected (the artifact format is ~4 levels deep; a depth
 //! cap turns adversarial inputs into clean errors instead of stack overflow).
 
+use std::collections::HashSet;
 use std::fmt;
 
 /// Maximum container nesting accepted by the parser.
@@ -237,7 +238,7 @@ impl Json {
     /// duplicate object keys, nesting beyond [`MAX_DEPTH`], or trailing
     /// non-whitespace.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+        let mut p = Parser { src: input, bytes: input.as_bytes(), pos: 0 };
         p.skip_ws();
         let value = p.value(0)?;
         p.skip_ws();
@@ -275,6 +276,7 @@ fn write_escaped(s: &str, out: &mut String) {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -365,6 +367,7 @@ impl<'a> Parser<'a> {
     fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
         self.expect(b'{')?;
         let mut fields: Vec<(String, Json)> = Vec::new();
+        let mut seen: HashSet<String> = HashSet::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
@@ -374,7 +377,7 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             let key_start = self.pos;
             let key = self.string()?;
-            if fields.iter().any(|(k, _)| *k == key) {
+            if !seen.insert(key.clone()) {
                 self.pos = key_start;
                 return Err(self.err(format!("duplicate object key `{key}`")));
             }
@@ -395,10 +398,22 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Parses a string literal. Each maximal run of bytes other than `"`,
+    /// `\` and control bytes (< 0x20) is copied with one `push_str` from the
+    /// source text. All three stop bytes are ASCII, and UTF-8 never uses an
+    /// ASCII byte inside a multi-byte char, so every run starts and ends on
+    /// a char boundary of the (already valid) `&str` and needs no
+    /// re-validation: the whole string costs one pass over its bytes.
     fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| matches!(b, b'"' | b'\\' | 0..=0x1f))
+                .unwrap_or(self.bytes.len() - self.pos);
+            out.push_str(&self.src[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -426,17 +441,8 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                Some(b) if b < 0x20 => {
-                    return Err(self.err("unescaped control character in string"))
-                }
-                Some(_) => {
-                    // Copy one UTF-8 scalar (input is a &str, so boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("non-empty by peek");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                // The run stopped at a control byte.
+                Some(_) => return Err(self.err("unescaped control character in string")),
             }
         }
     }
@@ -608,11 +614,57 @@ mod tests {
 
     #[test]
     fn unicode_escapes_parse() {
-        assert_eq!(Json::parse(r#""A""#).unwrap(), Json::String("A".into()));
-        assert_eq!(Json::parse(r#""🦀""#).unwrap(), Json::String("🦀".into()));
+        assert_eq!(Json::parse(r#""\u0041""#).unwrap(), Json::String("A".into()));
+        assert_eq!(Json::parse(r#""\ud83e\udd80""#).unwrap(), Json::String("🦀".into()));
         assert!(Json::parse(r#""\ud83e""#).is_err(), "unpaired high surrogate");
         assert!(Json::parse(r#""\udd80""#).is_err(), "unpaired low surrogate");
         assert!(Json::parse(r#""\ud83eA""#).is_err(), "bad low surrogate");
+    }
+
+    #[test]
+    fn string_runs_end_on_char_boundaries() {
+        // Multi-byte chars first and last in the string.
+        assert_eq!(Json::parse("\"é-mid-🦀\"").unwrap(), Json::String("é-mid-🦀".into()));
+        // An escape between two multi-byte runs.
+        assert_eq!(Json::parse(r#""日本\n語🦀""#).unwrap(), Json::String("日本\n語🦀".into()));
+        assert_eq!(Json::parse(r#""ü\u00e9ü""#).unwrap(), Json::String("üéü".into()));
+        assert_eq!(Json::parse(r#""a\u0000b""#).unwrap(), Json::String("a\u{0}b".into()));
+        // A raw control byte after a 10 KB run keeps its exact position.
+        let doc = format!("[\n\"{}\u{1}\"]", "x".repeat(10 * 1024));
+        let e = Json::parse(&doc).unwrap_err();
+        assert_eq!((e.line, e.col), (2, 10 * 1024 + 2), "{e}");
+        assert!(e.message.contains("unescaped control character"), "{e}");
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        let unit = "plain text, é, ü, 日本, 🦀, \"quoted\", back\\slash, tab\t;\n";
+        let s = unit.repeat(4 * 1024 * 1024 / unit.len() + 1);
+        assert!(s.len() >= 4 * 1024 * 1024);
+        let doc = Json::String(s.clone()).to_string_compact().unwrap();
+        let started = std::time::Instant::now();
+        let back = Json::parse(&doc).unwrap();
+        let took = started.elapsed();
+        assert_eq!(back, Json::String(s));
+        // A quadratic parser needs minutes here; the bound leaves room for a
+        // loaded machine running an unoptimised build.
+        assert!(took < std::time::Duration::from_secs(5), "4 MiB string took {took:?}");
+    }
+
+    #[test]
+    fn wide_objects_parse_and_report_a_late_duplicate() {
+        const KEYS: usize = 200_000;
+        let mut doc = String::from("{\n");
+        for i in 0..KEYS {
+            doc.push_str(&format!("\"k{i}\": {i},\n"));
+        }
+        let unique = format!("{doc}\"end\": 0\n}}");
+        assert_eq!(Json::parse(&unique).unwrap().as_object().unwrap().len(), KEYS + 1);
+        // The first key again, on line KEYS + 2.
+        let repeated = format!("{doc}\"k0\": 0\n}}");
+        let e = Json::parse(&repeated).unwrap_err();
+        assert!(e.message.contains("duplicate object key `k0`"), "{e}");
+        assert_eq!((e.line, e.col), (KEYS + 2, 1), "{e}");
     }
 
     #[test]
@@ -713,7 +765,7 @@ mod tests {
 
         /// Arbitrary strings survive escaping.
         #[test]
-        fn prop_string_round_trip(s in "\\PC*") {
+        fn prop_string_round_trip(s in any::<String>()) {
             let doc = Json::String(s.clone()).to_string_compact().unwrap();
             prop_assert_eq!(Json::parse(&doc).unwrap(), Json::String(s));
         }

@@ -20,8 +20,9 @@
 //! the journal is only ever replayed at recovery.
 //!
 //! The store also owns the *when* of refitting: [`RefitPolicy`] names the
-//! row-count and staleness triggers, [`DatasetStore::due_refits`] hands
-//! out at most one in-flight [`RefitJob`] per tenant, and
+//! row-count and staleness triggers, [`DatasetStore::due_refits`] (and
+//! [`DatasetStore::due_refit`] for one tenant) hands out at most one
+//! in-flight [`RefitJob`] per tenant, and
 //! [`DatasetStore::refit_finished`] records how many rows the new model
 //! generation covers (journaled best-effort: losing that metadata can
 //! only cause one extra — correctly ε-charged — refit after a restart,
@@ -177,7 +178,10 @@ fn parse_jsonl(schema: &Schema, text: &str) -> Result<Dataset, ServerError> {
                 .enumerate()
                 .map(|(i, v)| code(Some(v), schema.attribute(i).name()))
                 .collect::<Result<_, _>>()?
-        } else if json.as_object().is_some() {
+        } else if let Some(fields) = json.as_object() {
+            if let Some((name, _)) = fields.iter().find(|(k, _)| schema.index_of(k).is_none()) {
+                return Err(at(format!("unknown attribute `{name}`")));
+            }
             schema
                 .attributes()
                 .iter()
@@ -211,6 +215,27 @@ struct TenantState {
 impl TenantState {
     fn pending_rows(&self) -> u64 {
         (self.engine.n() as u64).saturating_sub(self.fitted_rows)
+    }
+
+    /// A job over every row held now, if the policy says the tenant is
+    /// due and no refit of it is in flight; marks it in-flight.
+    fn cut(&mut self, tenant: &str, policy: &RefitPolicy) -> Option<RefitJob> {
+        let pending = self.pending_rows();
+        if self.refit_inflight || pending == 0 {
+            return None;
+        }
+        let stale = self
+            .pending_since
+            .is_some_and(|since| policy.max_staleness.is_some_and(|max| since.elapsed() >= max));
+        if pending < policy.min_rows && !stale {
+            return None;
+        }
+        self.refit_inflight = true;
+        Some(RefitJob {
+            tenant: tenant.to_string(),
+            spec: self.refit.clone(),
+            total_rows: self.engine.n() as u64,
+        })
     }
 }
 
@@ -398,26 +423,23 @@ impl DatasetStore {
             let map = self.tenants.lock().expect("tenant map lock poisoned");
             map.iter().map(|(k, v)| (k.clone(), Arc::clone(v))).collect()
         };
-        let mut jobs = Vec::new();
-        for (tenant, slot) in slots {
-            let mut state = slot.lock().expect("tenant state lock poisoned");
-            let pending = state.pending_rows();
-            if state.refit_inflight || pending == 0 {
-                continue;
-            }
-            let stale = state.pending_since.is_some_and(|since| {
-                policy.max_staleness.is_some_and(|max| since.elapsed() >= max)
-            });
-            if pending >= policy.min_rows || stale {
-                state.refit_inflight = true;
-                jobs.push(RefitJob {
-                    tenant,
-                    spec: state.refit.clone(),
-                    total_rows: state.engine.n() as u64,
-                });
-            }
-        }
-        jobs
+        slots
+            .into_iter()
+            .filter_map(|(tenant, slot)| {
+                slot.lock().expect("tenant state lock poisoned").cut(&tenant, policy)
+            })
+            .collect()
+    }
+
+    /// [`DatasetStore::due_refits`] for one tenant, with the same duty to
+    /// answer the job. Called right after an append, it cuts a row-count
+    /// refit at exactly the batch that brought `min_rows` pending, where a
+    /// later poll would also take whatever batches landed in between.
+    #[must_use]
+    pub fn due_refit(&self, tenant: &str, policy: &RefitPolicy) -> Option<RefitJob> {
+        let slot = self.slot_of(tenant)?;
+        let mut state = slot.lock().expect("tenant state lock poisoned");
+        state.cut(tenant, policy)
     }
 
     /// Reports a [`RefitJob`]'s outcome. On success, `fitted_rows` is the
@@ -843,6 +865,22 @@ mod tests {
     }
 
     #[test]
+    fn a_single_tenant_cut_leaves_other_tenants_alone() {
+        let store = DatasetStore::in_memory();
+        let policy = RefitPolicy { min_rows: 2, max_staleness: None };
+        store.append("acme", &batch(&[[0, 0], [1, 1]]), Some(&spec())).unwrap();
+        store.append("bolt", &batch(&[[0, 1], [1, 2]]), Some(&spec())).unwrap();
+        assert!(store.due_refit("acme", &RefitPolicy { min_rows: 3, ..policy }).is_none());
+        let job = store.due_refit("acme", &policy).expect("acme is due");
+        assert_eq!((job.tenant.as_str(), job.total_rows), ("acme", 2));
+        assert!(store.due_refit("acme", &policy).is_none(), "in flight");
+        assert!(store.due_refit("nobody", &policy).is_none(), "unknown tenant");
+        let jobs = store.due_refits(&policy);
+        assert_eq!(jobs.len(), 1);
+        assert_eq!(jobs[0].tenant, "bolt", "only the tenant not yet cut");
+    }
+
+    #[test]
     fn jsonl_batches_parse_in_both_row_shapes() {
         let s = schema();
         let text = "{\"a\": 1, \"b\": 2}\n\n[0, 1]\n";
@@ -852,6 +890,9 @@ mod tests {
         assert_eq!(data.row(1), vec![0, 1]);
         assert!(parse_batch(&s, BatchFormat::Jsonl, "{\"a\": 1}").is_err(), "missing attribute");
         assert!(parse_batch(&s, BatchFormat::Jsonl, "[0, 9]").is_err(), "out-of-domain code");
+        let typo = "{\"a\": 1, \"b\": 2}\n{\"a\": 1, \"b\": 2, \"typo\": 5}";
+        let e = parse_batch(&s, BatchFormat::Jsonl, typo).unwrap_err();
+        assert!(e.to_string().contains("jsonl line 2: unknown attribute `typo`"), "{e}");
         assert!(parse_batch(&s, BatchFormat::Jsonl, "7").is_err(), "scalar line");
         let csv = parse_batch(&s, BatchFormat::Csv, "a,b\n1,2\n").unwrap();
         assert_eq!(csv.row(0), vec![1, 2]);

@@ -77,7 +77,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use privbayes::inference::{theta_projection, DEFAULT_CELL_CAP};
@@ -224,8 +224,33 @@ struct Shared {
     shutdown: AtomicBool,
     metrics: Arc<ServerMetrics>,
     cache: RowBlockCache,
+    refits: RefitQueue,
     #[cfg(any(test, feature = "fault-injection"))]
     fault: FaultSlot,
+}
+
+/// Refit jobs the ingest handler cut, waiting for the refit janitor.
+#[derive(Default)]
+struct RefitQueue {
+    jobs: Mutex<Vec<RefitJob>>,
+    ready: Condvar,
+}
+
+impl RefitQueue {
+    fn push(&self, job: RefitJob) {
+        self.jobs.lock().expect("refit queue lock poisoned").push(job);
+        self.ready.notify_one();
+    }
+
+    /// Every queued job, after waiting up to `timeout` for one to arrive.
+    fn take(&self, timeout: Duration) -> Vec<RefitJob> {
+        let jobs = self.jobs.lock().expect("refit queue lock poisoned");
+        let (mut jobs, _) = self
+            .ready
+            .wait_timeout_while(jobs, timeout, |jobs| jobs.is_empty())
+            .expect("refit queue lock poisoned");
+        std::mem::take(&mut *jobs)
+    }
 }
 
 /// A bound-but-not-yet-running synthesis service.
@@ -304,6 +329,7 @@ impl Server {
             shutdown: AtomicBool::new(false),
             metrics,
             cache,
+            refits: RefitQueue::default(),
             #[cfg(any(test, feature = "fault-injection"))]
             fault: Arc::new(RwLock::new(None)),
         });
@@ -363,20 +389,21 @@ impl Server {
             senders.push(tx);
             spawn_worker(&shared, &Arc::new(Mutex::new(rx)), &handles);
         }
-        // The refit janitor: polls the dataset store for tenants the policy
-        // says are due and runs each refit with the same ledger discipline
-        // as `POST /fit` (charge first, refund on failure). It runs beside
-        // the workers so a long fit never blocks request serving; the store
-        // single-flights per tenant, so at most one refit per tenant is in
-        // flight regardless of poll cadence.
+        // The refit janitor: runs the jobs the ingest handler cut, polls
+        // the dataset store for tenants gone stale, and runs each refit with
+        // the same ledger discipline as `POST /fit` (charge first, refund on
+        // failure). It runs beside the workers so a long fit never blocks
+        // request serving; the store single-flights per tenant, so at most
+        // one refit per tenant is in flight regardless of poll cadence.
         let janitor = shared.config.refit.is_enabled().then(|| {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || {
                 while !shared.shutdown.load(Ordering::SeqCst) {
-                    for job in shared.store.due_refits(&shared.config.refit) {
+                    let mut jobs = shared.refits.take(Duration::from_millis(20));
+                    jobs.extend(shared.store.due_refits(&shared.config.refit));
+                    for job in jobs {
                         run_refit(&shared, &job);
                     }
-                    std::thread::sleep(Duration::from_millis(20));
                 }
             })
         });
@@ -444,6 +471,11 @@ impl Server {
                 }
                 None => break,
             }
+        }
+        // A batch drained after the janitor stopped may have cut a job that
+        // never ran: release its tenant so the store can cut it again.
+        for job in shared.refits.take(Duration::ZERO) {
+            shared.store.refit_finished(&job.tenant, None);
         }
         Ok(ServerStats::snapshot(&shared.metrics))
     }
@@ -1418,6 +1450,13 @@ fn ingest_v1<W: Write>(
     match shared.store.append(tenant, &batch, spec.as_ref()) {
         Ok(receipt) => {
             shared.metrics.record_ingest(tenant, receipt.batch_rows);
+            // Cut before answering, so the refit covers exactly the rows
+            // that made it due and the next batch waits for the next one.
+            if shared.config.refit.is_enabled() {
+                if let Some(job) = shared.store.due_refit(tenant, &shared.config.refit) {
+                    shared.refits.push(job);
+                }
+            }
             respond_json(
                 out,
                 ctx,

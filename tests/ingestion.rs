@@ -325,6 +325,54 @@ fn ingest_triggers_ledger_accounted_refits_and_new_generations() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Batches posted back to back, faster than the janitor polls, still refit
+/// at exactly every `min_rows` rows: the batch that brings `min_rows`
+/// pending cuts its refit before it is answered, so the next batch cannot
+/// slip into that job and leave the last rows short of `min_rows`.
+#[test]
+fn back_to_back_batches_refit_on_min_rows_boundaries() {
+    let registry = Arc::new(ModelRegistry::new());
+    let ledger = Arc::new(BudgetLedger::in_memory());
+    ledger.register("acme", 10.0).unwrap();
+    let config = ServerConfig {
+        workers: 2,
+        fit_threads: Some(1),
+        refit: RefitPolicy { min_rows: 20, max_staleness: None },
+        ..ServerConfig::default()
+    };
+    let server = Server::bind("127.0.0.1:0", config, Arc::clone(&registry), ledger).unwrap();
+    let store = server.store();
+    let handle = server.spawn();
+    let client = Client::new(handle.addr().to_string());
+
+    for b in 0..4u32 {
+        let mut fields = vec![("csv", Json::String(csv_body(&rows(b * 10..b * 10 + 10))))];
+        if b == 0 {
+            fields.extend([
+                ("schema", schema_json()),
+                ("model_id", Json::String("acme-model".into())),
+                ("epsilon", Json::Number(0.5)),
+                ("seed", Json::Number(9.0)),
+            ]);
+        }
+        let response = client.ingest("acme", &Json::object(fields)).unwrap();
+        assert_eq!(response.code, 200, "{}", response.text());
+    }
+    // Cuts at 20 and 40 rows; a cut at 30 would leave 10 rows pending for
+    // good, since this policy has no staleness trigger.
+    assert!(
+        eventually(|| store.snapshot()[0].fitted_rows == 40),
+        "the last refit must cover every row, fitted {}",
+        store.snapshot()[0].fitted_rows
+    );
+    let snapshot = client.metrics().unwrap();
+    assert_eq!(snapshot.value("privbayes_refits_total", &[("status", "ok")]), Some(2.0));
+    assert_eq!(registry.get("acme-model").unwrap().artifact.metadata.source_rows, 40);
+
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+}
+
 /// The fixture schema as the JSON the ingest endpoint accepts.
 fn schema_json() -> Json {
     privbayes_suite::model::schema_to_json(&schema())
