@@ -10,7 +10,9 @@
 //! are summed out in a greedy smallest-intermediate-factor order. This
 //! removes the sampling error from query answers; the privacy cost is
 //! unchanged because the model is already differentially private
-//! (post-processing).
+//! (post-processing). The same elimination, keeping each variable's joined
+//! bucket, compiles evidence for exact conditional sampling
+//! ([`crate::sampler::CompiledSampler::stream_spec`]).
 
 use privbayes_data::Schema;
 use privbayes_marginals::{Axis, ContingencyTable};
@@ -41,64 +43,14 @@ pub fn model_marginal(
     attrs: &[usize],
     cell_cap: usize,
 ) -> Result<ContingencyTable, PrivBayesError> {
-    let d = schema.len();
-    if model.conditionals.len() != d {
-        return Err(PrivBayesError::InvalidNetwork(format!(
-            "model covers {} attributes, schema has {d}",
-            model.conditionals.len()
-        )));
-    }
-    if attrs.is_empty() {
-        return Err(PrivBayesError::InvalidConfig("empty query".into()));
-    }
-    for (i, &a) in attrs.iter().enumerate() {
-        if a >= d {
-            return Err(PrivBayesError::InvalidConfig(format!("attribute {a} out of range")));
-        }
-        if attrs[..i].contains(&a) {
-            return Err(PrivBayesError::InvalidConfig(format!("attribute {a} repeated")));
-        }
-    }
-
-    // Ancestral closure of the query. Parents precede their children in the
-    // conditional list, so one reverse sweep marks every ancestor.
-    let mut needed = vec![false; d];
-    for &a in attrs {
-        needed[a] = true;
-    }
-    for cond in model.conditionals.iter().rev() {
-        if needed[cond.child] {
-            for axis in &cond.parents {
-                needed[axis.attr] = true;
-            }
-        }
-    }
-
+    let d = check_attrs(model, schema, attrs, "attribute", "empty query")?;
+    let needed = ancestral_closure(model, d, attrs.iter().copied());
     // One factor per needed pair, expanded over RAW parent domains so that
     // factors mentioning an attribute at different generalisation levels
     // still join on the raw code.
-    let mut factors: Vec<Factor> = Vec::new();
-    for cond in model.conditionals.iter().filter(|c| needed[c.child]) {
-        factors.push(Factor::from_conditional(cond, schema, cell_cap)?);
-    }
-
-    // Greedy min-size variable elimination of every non-query attribute in
-    // the closure: repeatedly eliminate the variable whose bucket join
-    // produces the smallest intermediate factor.
-    let mut to_eliminate: Vec<usize> =
-        (0..d).filter(|&a| needed[a] && !attrs.contains(&a)).collect();
-    while !to_eliminate.is_empty() {
-        let best = to_eliminate
-            .iter()
-            .enumerate()
-            .min_by(|a, b| {
-                elimination_cost(&factors, *a.1).total_cmp(&elimination_cost(&factors, *b.1))
-            })
-            .map(|(i, _)| i)
-            .expect("nonempty elimination set");
-        let var = to_eliminate.swap_remove(best);
-        eliminate(&mut factors, var, cell_cap)?;
-    }
+    let mut factors = closure_factors(model, schema, &needed, &[], cell_cap)?;
+    let to_eliminate: Vec<usize> = (0..d).filter(|&a| needed[a] && !attrs.contains(&a)).collect();
+    eliminate_greedy(&mut factors, to_eliminate, cell_cap, |_, _| {})?;
 
     // Join the survivors (all scoped within the query attributes).
     let mut result = Factor::unit();
@@ -134,91 +86,22 @@ pub fn model_conditional(
     evidence: &[(usize, u32)],
     cell_cap: usize,
 ) -> Result<ContingencyTable, PrivBayesError> {
-    let d = schema.len();
-    if model.conditionals.len() != d {
-        return Err(PrivBayesError::InvalidNetwork(format!(
-            "model covers {} attributes, schema has {d}",
-            model.conditionals.len()
+    let d = check_attrs(model, schema, targets, "target", "empty target set")?;
+    check_evidence(schema, evidence)?;
+    if let Some(&(a, _)) = evidence.iter().find(|(a, _)| targets.contains(a)) {
+        return Err(PrivBayesError::InvalidConfig(format!(
+            "attribute {a} is both target and evidence"
         )));
     }
-    if targets.is_empty() {
-        return Err(PrivBayesError::InvalidConfig("empty target set".into()));
-    }
-    for (i, &a) in targets.iter().enumerate() {
-        if a >= d {
-            return Err(PrivBayesError::InvalidConfig(format!("target {a} out of range")));
-        }
-        if targets[..i].contains(&a) {
-            return Err(PrivBayesError::InvalidConfig(format!("target {a} repeated")));
-        }
-    }
-    for (i, &(a, code)) in evidence.iter().enumerate() {
-        if a >= d {
-            return Err(PrivBayesError::InvalidConfig(format!(
-                "evidence attribute {a} out of range"
-            )));
-        }
-        if !schema.attribute(a).domain().contains(code) {
-            return Err(PrivBayesError::InvalidConfig(format!(
-                "evidence code {code} outside the domain of attribute {a}"
-            )));
-        }
-        if targets.contains(&a) {
-            return Err(PrivBayesError::InvalidConfig(format!(
-                "attribute {a} is both target and evidence"
-            )));
-        }
-        if evidence[..i].iter().any(|&(b, _)| b == a) {
-            return Err(PrivBayesError::InvalidConfig(format!("evidence attribute {a} repeated")));
-        }
-    }
-
-    // Closure of targets ∪ evidence.
-    let mut needed = vec![false; d];
-    for &a in targets {
-        needed[a] = true;
-    }
-    for &(a, _) in evidence {
-        needed[a] = true;
-    }
-    for cond in model.conditionals.iter().rev() {
-        if needed[cond.child] {
-            for axis in &cond.parents {
-                needed[axis.attr] = true;
-            }
-        }
-    }
-
-    // Build factors and slice out the evidence immediately: reducing shrinks
-    // every factor before any join happens.
-    let mut factors: Vec<Factor> = Vec::new();
-    for cond in model.conditionals.iter().filter(|c| needed[c.child]) {
-        let mut factor = Factor::from_conditional(cond, schema, cell_cap)?;
-        for &(a, code) in evidence {
-            if factor.scope.contains(&a) {
-                factor = factor.reduce(a, code as usize);
-            }
-        }
-        factors.push(factor);
-    }
-
+    let needed =
+        ancestral_closure(model, d, targets.iter().copied().chain(evidence.iter().map(|e| e.0)));
+    let mut factors = closure_factors(model, schema, &needed, evidence, cell_cap)?;
     // Eliminate everything that is neither target nor evidence (evidence is
     // already gone from every scope).
-    let mut to_eliminate: Vec<usize> = (0..d)
+    let to_eliminate: Vec<usize> = (0..d)
         .filter(|&a| needed[a] && !targets.contains(&a) && !evidence.iter().any(|&(e, _)| e == a))
         .collect();
-    while !to_eliminate.is_empty() {
-        let best = to_eliminate
-            .iter()
-            .enumerate()
-            .min_by(|a, b| {
-                elimination_cost(&factors, *a.1).total_cmp(&elimination_cost(&factors, *b.1))
-            })
-            .map(|(i, _)| i)
-            .expect("nonempty elimination set");
-        let var = to_eliminate.swap_remove(best);
-        eliminate(&mut factors, var, cell_cap)?;
-    }
+    eliminate_greedy(&mut factors, to_eliminate, cell_cap, |_, _| {})?;
 
     let mut result = Factor::unit();
     for f in factors {
@@ -273,38 +156,9 @@ pub fn theta_projection(
     attrs: &[usize],
     cell_cap: usize,
 ) -> Result<ContingencyTable, PrivBayesError> {
-    let d = schema.len();
-    if model.conditionals.len() != d {
-        return Err(PrivBayesError::InvalidNetwork(format!(
-            "model covers {} attributes, schema has {d}",
-            model.conditionals.len()
-        )));
-    }
-    if attrs.is_empty() {
-        return Err(PrivBayesError::InvalidConfig("empty query".into()));
-    }
-    for (i, &a) in attrs.iter().enumerate() {
-        if a >= d {
-            return Err(PrivBayesError::InvalidConfig(format!("attribute {a} out of range")));
-        }
-        if attrs[..i].contains(&a) {
-            return Err(PrivBayesError::InvalidConfig(format!("attribute {a} repeated")));
-        }
-    }
-
-    // Step 1: ancestral closure (parents precede children, so one reverse
-    // sweep marks every ancestor).
-    let mut needed = vec![false; d];
-    for &a in attrs {
-        needed[a] = true;
-    }
-    for cond in model.conditionals.iter().rev() {
-        if needed[cond.child] {
-            for axis in &cond.parents {
-                needed[axis.attr] = true;
-            }
-        }
-    }
+    let d = check_attrs(model, schema, attrs, "attribute", "empty query")?;
+    // Step 1: ancestral closure.
+    let needed = ancestral_closure(model, d, attrs.iter().copied());
     let closure: Vec<usize> = (0..d).filter(|&a| needed[a]).collect();
     let closure_dims: Vec<usize> =
         closure.iter().map(|&a| schema.attribute(a).domain_size()).collect();
@@ -387,12 +241,70 @@ pub fn theta_projection(
     Ok(ContingencyTable::from_parts(axes, out_dims, values))
 }
 
+/// Checks that `model` covers `schema` and that `attrs` is a nonempty list
+/// of distinct in-range attributes (named `noun` in errors); returns the
+/// schema width.
+fn check_attrs(
+    model: &NoisyModel,
+    schema: &Schema,
+    attrs: &[usize],
+    noun: &str,
+    empty: &str,
+) -> Result<usize, PrivBayesError> {
+    let d = schema.len();
+    if model.conditionals.len() != d {
+        return Err(PrivBayesError::InvalidNetwork(format!(
+            "model covers {} attributes, schema has {d}",
+            model.conditionals.len()
+        )));
+    }
+    if attrs.is_empty() {
+        return Err(PrivBayesError::InvalidConfig(empty.into()));
+    }
+    for (i, &a) in attrs.iter().enumerate() {
+        if a >= d {
+            return Err(PrivBayesError::InvalidConfig(format!("{noun} {a} out of range")));
+        }
+        if attrs[..i].contains(&a) {
+            return Err(PrivBayesError::InvalidConfig(format!("{noun} {a} repeated")));
+        }
+    }
+    Ok(d)
+}
+
+/// Checks that every evidence attribute is in range, not repeated, and
+/// observed at a code inside its domain.
+///
+/// # Errors
+/// Returns [`PrivBayesError::InvalidConfig`] naming the first violation.
+pub(crate) fn check_evidence(
+    schema: &Schema,
+    evidence: &[(usize, u32)],
+) -> Result<(), PrivBayesError> {
+    for (i, &(a, code)) in evidence.iter().enumerate() {
+        if a >= schema.len() {
+            return Err(PrivBayesError::InvalidConfig(format!(
+                "evidence attribute {a} out of range"
+            )));
+        }
+        if !schema.attribute(a).domain().contains(code) {
+            return Err(PrivBayesError::InvalidConfig(format!(
+                "evidence code {code} outside the domain of attribute {a}"
+            )));
+        }
+        if evidence[..i].iter().any(|&(b, _)| b == a) {
+            return Err(PrivBayesError::InvalidConfig(format!("evidence attribute {a} repeated")));
+        }
+    }
+    Ok(())
+}
+
 /// A dense factor over raw attributes (row-major, last axis fastest).
 #[derive(Debug, Clone)]
-struct Factor {
-    scope: Vec<usize>,
-    dims: Vec<usize>,
-    values: Vec<f64>,
+pub(crate) struct Factor {
+    pub(crate) scope: Vec<usize>,
+    pub(crate) dims: Vec<usize>,
+    pub(crate) values: Vec<f64>,
 }
 
 fn cap_error(cells: usize, cap: usize) -> PrivBayesError {
@@ -531,6 +443,16 @@ impl Factor {
         Factor { scope, dims, values }
     }
 
+    /// The same factor with `var` moved to the last (fastest) axis.
+    fn with_last(&self, var: usize, cell_cap: usize) -> Result<Factor, PrivBayesError> {
+        let (scope, dims): (Vec<usize>, Vec<usize>) =
+            self.scope.iter().zip(&self.dims).filter(|&(&v, _)| v != var).unzip();
+        // Multiplying by ones reorders exactly: `join` keeps the left
+        // operand's scope first.
+        let ones = Factor { values: vec![1.0; dims.iter().product()], scope, dims };
+        ones.join(self, cell_cap)
+    }
+
     /// Sums out one variable.
     fn sum_out(&self, var: usize) -> Factor {
         let pos = self.scope.iter().position(|&v| v == var).expect("var in scope");
@@ -570,9 +492,13 @@ fn elimination_cost(factors: &[Factor], var: usize) -> f64 {
     cost
 }
 
-/// Joins every factor mentioning `var`, sums `var` out, and pushes the
-/// result back.
-fn eliminate(factors: &mut Vec<Factor>, var: usize, cell_cap: usize) -> Result<(), PrivBayesError> {
+/// Joins every factor mentioning `var`, sums `var` out, pushes the result
+/// back, and returns the joined bucket (before the sum).
+fn eliminate(
+    factors: &mut Vec<Factor>,
+    var: usize,
+    cell_cap: usize,
+) -> Result<Factor, PrivBayesError> {
     let mut bucket = Factor::unit();
     let mut rest = Vec::with_capacity(factors.len());
     for f in factors.drain(..) {
@@ -586,7 +512,118 @@ fn eliminate(factors: &mut Vec<Factor>, var: usize, cell_cap: usize) -> Result<(
     if bucket.scope.contains(&var) {
         factors.push(bucket.sum_out(var));
     }
+    Ok(bucket)
+}
+
+/// Greedy min-size variable elimination of `vars`: repeatedly eliminates
+/// the variable whose bucket join produces the smallest intermediate
+/// factor, handing `on_bucket` each variable and its joined bucket in
+/// elimination order.
+fn eliminate_greedy(
+    factors: &mut Vec<Factor>,
+    mut vars: Vec<usize>,
+    cell_cap: usize,
+    mut on_bucket: impl FnMut(usize, Factor),
+) -> Result<(), PrivBayesError> {
+    while !vars.is_empty() {
+        let best = vars
+            .iter()
+            .enumerate()
+            .min_by(|a, b| {
+                elimination_cost(factors, *a.1).total_cmp(&elimination_cost(factors, *b.1))
+            })
+            .map(|(i, _)| i)
+            .expect("nonempty elimination set");
+        let var = vars.swap_remove(best);
+        let bucket = eliminate(factors, var, cell_cap)?;
+        on_bucket(var, bucket);
+    }
     Ok(())
+}
+
+/// Marks the ancestral closure of `attrs`. Parents precede their children
+/// in the conditional list, so one reverse sweep marks every ancestor.
+fn ancestral_closure(
+    model: &NoisyModel,
+    d: usize,
+    attrs: impl IntoIterator<Item = usize>,
+) -> Vec<bool> {
+    let mut needed = vec![false; d];
+    for a in attrs {
+        needed[a] = true;
+    }
+    for cond in model.conditionals.iter().rev() {
+        if needed[cond.child] {
+            for axis in &cond.parents {
+                needed[axis.attr] = true;
+            }
+        }
+    }
+    needed
+}
+
+/// One CPT factor per pair whose child is `needed`, in network order, each
+/// sliced at the evidence right away: reducing shrinks every factor before
+/// any join happens.
+fn closure_factors(
+    model: &NoisyModel,
+    schema: &Schema,
+    needed: &[bool],
+    evidence: &[(usize, u32)],
+    cell_cap: usize,
+) -> Result<Vec<Factor>, PrivBayesError> {
+    let mut factors = Vec::new();
+    for cond in model.conditionals.iter().filter(|c| needed[c.child]) {
+        let mut factor = Factor::from_conditional(cond, schema, cell_cap)?;
+        for &(a, code) in evidence {
+            if factor.scope.contains(&a) {
+                factor = factor.reduce(a, code as usize);
+            }
+        }
+        factors.push(factor);
+    }
+    Ok(factors)
+}
+
+/// Compiles evidence that passed [`check_evidence`] for exact posterior
+/// sampling: eliminates the free variables of the evidence's ancestral
+/// closure in [`model_conditional`]'s greedy order, and returns the closure
+/// mask and each free variable's joined bucket, in elimination order, with
+/// that variable as the last (fastest) axis. A bucket's other variables are
+/// eliminated later, so drawing in *reverse* elimination order, each
+/// variable from its bucket sliced at those already drawn, draws exactly
+/// from `Pr*[closure | evidence]`.
+///
+/// # Errors
+/// Returns [`PrivBayesError::InvalidConfig`] when a factor would exceed
+/// `cell_cap` cells or when the evidence has probability zero under the
+/// model.
+pub(crate) fn evidence_buckets(
+    model: &NoisyModel,
+    schema: &Schema,
+    evidence: &[(usize, u32)],
+    cell_cap: usize,
+) -> Result<(Vec<bool>, Vec<Factor>), PrivBayesError> {
+    let d = schema.len();
+    let needed = ancestral_closure(model, d, evidence.iter().map(|e| e.0));
+    let mut factors = closure_factors(model, schema, &needed, evidence, cell_cap)?;
+    let free: Vec<usize> =
+        (0..d).filter(|&a| needed[a] && !evidence.iter().any(|&(e, _)| e == a)).collect();
+    let mut buckets = Vec::with_capacity(free.len());
+    eliminate_greedy(&mut factors, free, cell_cap, |var, bucket| buckets.push((var, bucket)))?;
+    // Only scalars remain; their product is Pr*[evidence].
+    let mass: f64 = factors.iter().map(|f| f.values[0]).product();
+    if mass <= 0.0 || !mass.is_finite() {
+        return Err(PrivBayesError::InvalidConfig(
+            "evidence has probability zero under the model".into(),
+        ));
+    }
+    let buckets = buckets
+        .into_iter()
+        .filter(|(var, bucket)| bucket.scope.contains(var))
+        .map(|(var, bucket)| bucket.with_last(var, cell_cap))
+        .collect::<Result<_, _>>()?;
+    Ok((needed, buckets))
 }
 
 #[cfg(test)]

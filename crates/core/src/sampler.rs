@@ -15,11 +15,12 @@
 use privbayes_data::{Dataset, Schema};
 use privbayes_dp::AliasTable;
 use rand::rngs::StdRng;
-use rand::{Rng, RngExt, SeedableRng};
+use rand::{Rng, SeedableRng};
 
 use crate::conditionals::NoisyModel;
 use crate::error::PrivBayesError;
 use crate::greedy::resolve_threads;
+use crate::inference::{check_evidence, evidence_buckets, DEFAULT_CELL_CAP};
 
 /// Rows per sampling chunk. Each chunk owns an RNG stream seeded from
 /// `(base, chunk index)` only, which makes the output independent of how
@@ -28,16 +29,6 @@ use crate::greedy::resolve_threads;
 /// one by one ([`CompiledSampler::stream_rows`]). Fixed: changing it changes
 /// which stream generates which row.
 pub const CHUNK_ROWS: usize = 1024;
-
-/// Candidate rows drawn per output row in likelihood-weighted conditional
-/// sampling (evidence with non-evidence ancestors). Fixed: part of the
-/// determinism contract — changing it changes which rows a given seed
-/// produces.
-pub const LW_CANDIDATES: usize = 64;
-
-/// Rounds of [`LW_CANDIDATES`] retried when every candidate weight is zero
-/// before giving up on the row and emitting the last clamped candidate.
-const LW_MAX_ROUNDS: usize = 16;
 
 /// A sampling request against a [`CompiledSampler`]: how many rows of the
 /// underlying stream exist, which attributes are clamped as evidence, which
@@ -54,9 +45,8 @@ pub struct SampleSpec {
     /// Total rows of the (unresumed) stream.
     pub rows: usize,
     /// Clamped `(attribute, code)` evidence; sampled rows all carry these
-    /// values and the remaining attributes follow the model conditioned on
-    /// them (exactly for ancestrally-closed evidence, by likelihood-weighted
-    /// resampling otherwise — see [`CompiledSampler::stream_spec`]).
+    /// values and the remaining attributes follow the model's exact
+    /// posterior given them — see [`CompiledSampler::stream_spec`].
     pub evidence: Vec<(usize, u32)>,
     /// Columns to yield, in order (`None` = every attribute in schema
     /// order). Sampling always computes full tuples — ancestors are needed —
@@ -113,12 +103,6 @@ struct CompiledConditional {
     /// slice is actually drawn from, matching the lazy `sample_discrete`
     /// behaviour.
     tables: Vec<Option<AliasTable>>,
-    /// Domain size of the child.
-    child_dim: usize,
-    /// The raw conditional probabilities (row-major over parent slices),
-    /// kept alongside the alias tables so conditional sampling can read
-    /// `Pr[child = v | parents]` for evidence weights without a table walk.
-    probs: Vec<f64>,
 }
 
 /// A [`NoisyModel`] compiled into alias tables, reusable across sampling
@@ -127,6 +111,8 @@ struct CompiledConditional {
 pub struct CompiledSampler {
     schema: Schema,
     conditionals: Vec<CompiledConditional>,
+    /// The source model, from which evidence is compiled per stream.
+    model: NoisyModel,
 }
 
 impl NoisyModel {
@@ -166,11 +152,9 @@ impl NoisyModel {
                     .collect(),
                 parent_dims: cond.parent_dims.clone(),
                 tables: cond.probs.chunks_exact(cond.child_dim).map(AliasTable::try_new).collect(),
-                child_dim: cond.child_dim,
-                probs: cond.probs.clone(),
             })
             .collect();
-        Ok(CompiledSampler { schema: schema.clone(), conditionals })
+        Ok(CompiledSampler { schema: schema.clone(), conditionals, model: self.clone() })
     }
 }
 
@@ -192,6 +176,15 @@ impl CompiledConditional {
         }
         idx
     }
+
+    /// Draws the child given the parent values in `tuple`.
+    #[inline]
+    fn draw<R: Rng + ?Sized>(&self, tuple: &[u32], rng: &mut R) -> u32 {
+        let table = self.tables[self.slice_index(tuple)]
+            .as_ref()
+            .expect("sampled a degenerate conditional slice (invalid weights)");
+        table.sample(rng) as u32
+    }
 }
 
 impl CompiledSampler {
@@ -205,43 +198,32 @@ impl CompiledSampler {
     #[inline]
     fn sample_row<R: Rng + ?Sized>(&self, tuple: &mut [u32], rng: &mut R) {
         for cond in &self.conditionals {
-            let idx = cond.slice_index(tuple);
-            let table = cond.tables[idx]
-                .as_ref()
-                .expect("sampled a degenerate conditional slice (invalid weights)");
-            tuple[cond.child] = table.sample(rng) as u32;
+            tuple[cond.child] = cond.draw(tuple, rng);
         }
     }
 
-    /// Fills `tuple` with one row where every evidence attribute is clamped
-    /// to its observed code, and returns the row's likelihood weight — the
-    /// product of `Pr[eᵢ = vᵢ | parents(eᵢ)]` over the evidence attributes
-    /// under the sampled parent values. Free attributes draw from their
-    /// conditionals exactly as [`CompiledSampler::sample_row`] does.
+    /// Fills `tuple` with one row drawn from the posterior given the
+    /// compiled evidence: first the free variables of the evidence's
+    /// ancestral closure from their buckets, then — in network order —
+    /// evidence clamped and every attribute outside the closure drawn from
+    /// its conditional exactly as [`CompiledSampler::sample_row`] does.
     #[inline]
-    fn sample_row_clamped<R: Rng + ?Sized>(
+    fn sample_row_given<R: Rng + ?Sized>(
         &self,
         tuple: &mut [u32],
-        evidence: &[Option<u32>],
+        posterior: &Posterior,
         rng: &mut R,
-    ) -> f64 {
-        let mut weight = 1.0f64;
+    ) {
+        for bucket in &posterior.buckets {
+            tuple[bucket.var] = bucket.draw(tuple, rng);
+        }
         for cond in &self.conditionals {
-            let idx = cond.slice_index(tuple);
-            match evidence[cond.child] {
-                Some(code) => {
-                    tuple[cond.child] = code;
-                    weight *= cond.probs[idx * cond.child_dim + code as usize];
-                }
-                None => {
-                    let table = cond.tables[idx]
-                        .as_ref()
-                        .expect("sampled a degenerate conditional slice (invalid weights)");
-                    tuple[cond.child] = table.sample(rng) as u32;
-                }
+            match posterior.roles[cond.child] {
+                Role::Clamped(code) => tuple[cond.child] = code,
+                Role::Posterior => {}
+                Role::Forward => tuple[cond.child] = cond.draw(tuple, rng),
             }
         }
-        weight
     }
 
     /// Samples `rows` synthetic tuples. `threads = None` uses
@@ -323,8 +305,7 @@ impl CompiledSampler {
             base: rng.next_u64(),
             rows,
             next_row: 0,
-            evidence: Vec::new(),
-            weighted: false,
+            posterior: None,
             projection: None,
         }
     }
@@ -338,50 +319,35 @@ impl CompiledSampler {
     ///
     /// # Conditioning semantics
     ///
-    /// Evidence attributes are clamped to their observed codes in every row.
-    /// When the evidence set is **ancestrally closed** (every ancestor of an
-    /// evidence attribute is itself evidence — e.g. evidence on network
-    /// roots), clamped ancestral sampling draws *exactly* from
-    /// `Pr*[free | evidence]`. Otherwise the sampler falls back to
-    /// likelihood-weighted resampling: per output row it draws
-    /// [`LW_CANDIDATES`] clamped candidates, weights each by
-    /// `∏ Pr[eᵢ = vᵢ | parents]`, and picks one proportionally — an exact
-    /// scheme in the limit, with O(1/[`LW_CANDIDATES`]) resampling bias. Both
-    /// modes are deterministic for a fixed `(model, seed, spec)` and use the
-    /// same per-chunk RNG streams, so resumed conditional streams are also
-    /// suffix-identical.
+    /// Evidence attributes are clamped to their observed codes in every row,
+    /// and every row is an exact draw from `Pr*[free | evidence]`. The
+    /// evidence is compiled once per stream by bucket elimination over its
+    /// ancestral closure (the variable elimination of
+    /// [`crate::inference::model_conditional`], which keeps each eliminated
+    /// variable's joined bucket). Each row then draws the closure's free
+    /// variables in reverse elimination order, each from its bucket sliced
+    /// at the variables already drawn, and every attribute outside the
+    /// closure forward from its conditional in network order. Ancestrally
+    /// closed evidence (every ancestor of an evidence attribute is itself
+    /// evidence — e.g. evidence on network roots) has no free closure
+    /// variable, so its rows are plain clamped ancestral samples. Rows are
+    /// deterministic for a fixed `(model, seed, spec)` and use the same
+    /// per-chunk RNG streams as unconditional streams, so resumed
+    /// conditional streams are also suffix-identical.
     ///
     /// # Errors
     /// Returns [`PrivBayesError::InvalidConfig`] for evidence or projection
     /// attributes out of range or repeated, evidence codes outside their
-    /// domains, an empty projection list, or (in the ancestrally-closed
-    /// mode, where it is exactly computable) evidence with probability zero
-    /// under the model.
+    /// domains, an empty projection list, evidence with probability zero
+    /// under the model, or an elimination factor over
+    /// [`DEFAULT_CELL_CAP`] cells.
     pub fn stream_spec<R: Rng + ?Sized>(
         &self,
         spec: &SampleSpec,
         rng: &mut R,
     ) -> Result<RowStream<'_>, PrivBayesError> {
         let d = self.schema.len();
-        let mut evidence: Vec<Option<u32>> = vec![None; d];
-        for (i, &(attr, code)) in spec.evidence.iter().enumerate() {
-            if attr >= d {
-                return Err(PrivBayesError::InvalidConfig(format!(
-                    "evidence attribute {attr} out of range"
-                )));
-            }
-            if !self.schema.attribute(attr).domain().contains(code) {
-                return Err(PrivBayesError::InvalidConfig(format!(
-                    "evidence code {code} outside the domain of attribute {attr}"
-                )));
-            }
-            if spec.evidence[..i].iter().any(|&(a, _)| a == attr) {
-                return Err(PrivBayesError::InvalidConfig(format!(
-                    "evidence attribute {attr} repeated"
-                )));
-            }
-            evidence[attr] = Some(code);
-        }
+        check_evidence(&self.schema, &spec.evidence)?;
         if let Some(projection) = &spec.projection {
             if projection.is_empty() {
                 return Err(PrivBayesError::InvalidConfig(
@@ -402,54 +368,17 @@ impl CompiledSampler {
             }
         }
 
-        // Classify the evidence: `free[a]` marks attributes that are
-        // non-evidence or have a non-evidence ancestor. Evidence whose
-        // parents are all non-free is fully determined by other evidence, so
-        // clamping is exact; any evidence with a free ancestor forces the
-        // likelihood-weighted mode. Parents precede children in the
-        // conditional list, so one forward sweep settles every attribute.
-        let mut weighted = false;
-        if !spec.evidence.is_empty() {
-            let mut free = vec![false; d];
-            for cond in &self.conditionals {
-                let parents_free = cond.parent_attrs.iter().any(|&p| free[p]);
-                if evidence[cond.child].is_none() {
-                    free[cond.child] = true;
-                } else {
-                    free[cond.child] = parents_free;
-                    weighted = weighted || parents_free;
-                }
-            }
-            if !weighted {
-                // Ancestrally closed: every evidence parent value is itself
-                // evidence, so the evidence probability is an exact product —
-                // reject impossible evidence up front.
-                let mut tuple = vec![0u32; d];
-                for &(attr, code) in &spec.evidence {
-                    tuple[attr] = code;
-                }
-                let mut mass = 1.0f64;
-                for cond in &self.conditionals {
-                    if let Some(code) = evidence[cond.child] {
-                        let idx = cond.slice_index(&tuple);
-                        mass *= cond.probs[idx * cond.child_dim + code as usize];
-                    }
-                }
-                if !mass.is_finite() || mass <= 0.0 {
-                    return Err(PrivBayesError::InvalidConfig(
-                        "evidence has probability zero under the model".into(),
-                    ));
-                }
-            }
-        }
-
+        let posterior = if spec.evidence.is_empty() {
+            None
+        } else {
+            Some(Posterior::compile(self, &spec.evidence)?)
+        };
         Ok(RowStream {
             sampler: self,
             base: rng.next_u64(),
             rows: spec.rows,
             next_row: spec.start_row,
-            evidence: if spec.evidence.is_empty() { Vec::new() } else { evidence },
-            weighted,
+            posterior,
             projection: spec.projection.clone(),
         })
     }
@@ -482,6 +411,87 @@ impl CompiledSampler {
     }
 }
 
+/// How a conditional row sets one attribute.
+#[derive(Debug, Clone, Copy)]
+enum Role {
+    /// Evidence: clamped to its observed code.
+    Clamped(u32),
+    /// A free variable of the evidence's ancestral closure, drawn from its
+    /// bucket.
+    Posterior,
+    /// Outside the closure: drawn from its conditional.
+    Forward,
+}
+
+/// One free closure variable's joined bucket, cut into one alias table per
+/// configuration of the bucket's other variables (drawn before it).
+#[derive(Debug)]
+struct BucketDraw {
+    var: usize,
+    given: Vec<usize>,
+    given_dims: Vec<usize>,
+    /// `None` marks a zero-mass slice, which a row never reaches.
+    tables: Vec<Option<AliasTable>>,
+}
+
+impl BucketDraw {
+    #[inline]
+    fn draw<R: Rng + ?Sized>(&self, tuple: &[u32], rng: &mut R) -> u32 {
+        let mut idx = 0usize;
+        for (&attr, &dim) in self.given.iter().zip(&self.given_dims) {
+            idx = idx * dim + tuple[attr] as usize;
+        }
+        let table = self.tables[idx].as_ref().expect("drew from a zero-mass posterior slice");
+        table.sample(rng) as u32
+    }
+}
+
+/// Evidence compiled for exact posterior sampling; see
+/// [`CompiledSampler::stream_spec`].
+#[derive(Debug)]
+struct Posterior {
+    /// Per attribute.
+    roles: Vec<Role>,
+    /// The closure's free variables in draw (reverse elimination) order.
+    buckets: Vec<BucketDraw>,
+}
+
+impl Posterior {
+    /// Compiles validated `evidence` against `sampler`'s model.
+    fn compile(
+        sampler: &CompiledSampler,
+        evidence: &[(usize, u32)],
+    ) -> Result<Self, PrivBayesError> {
+        let (closure, buckets) =
+            evidence_buckets(&sampler.model, &sampler.schema, evidence, DEFAULT_CELL_CAP)?;
+        let mut roles: Vec<Role> = closure
+            .iter()
+            .map(|&inside| if inside { Role::Posterior } else { Role::Forward })
+            .collect();
+        for &(attr, code) in evidence {
+            roles[attr] = Role::Clamped(code);
+        }
+        let buckets = buckets
+            .into_iter()
+            .rev()
+            .map(|bucket| {
+                let n = bucket.scope.len() - 1;
+                BucketDraw {
+                    var: bucket.scope[n],
+                    given: bucket.scope[..n].to_vec(),
+                    given_dims: bucket.dims[..n].to_vec(),
+                    tables: bucket
+                        .values
+                        .chunks_exact(bucket.dims[n])
+                        .map(AliasTable::try_new)
+                        .collect(),
+                }
+            })
+            .collect();
+        Ok(Self { roles, buckets })
+    }
+}
+
 /// Iterator over row-major chunks of synthetic tuples; see
 /// [`CompiledSampler::stream_rows`] and [`CompiledSampler::stream_spec`].
 #[derive(Debug)]
@@ -490,11 +500,8 @@ pub struct RowStream<'a> {
     base: u64,
     rows: usize,
     next_row: usize,
-    /// Per-attribute clamped codes; empty for unconditional streams.
-    evidence: Vec<Option<u32>>,
-    /// Whether conditioning needs likelihood-weighted resampling (evidence
-    /// with a non-evidence ancestor) instead of exact clamping.
-    weighted: bool,
+    /// The compiled evidence; `None` for unconditional streams.
+    posterior: Option<Posterior>,
     /// Columns each yielded tuple carries, in order (`None` = all).
     projection: Option<Vec<usize>>,
 }
@@ -513,14 +520,12 @@ impl RowStream<'_> {
         self.rows.saturating_sub(self.next_row)
     }
 
-    /// Whether this stream conditions by likelihood-weighted resampling
-    /// (evidence with a non-evidence ancestor) rather than exact clamping.
-    /// In this mode impossible evidence is not detectable up front — the
-    /// serving layer uses this to decide when to run the exact
-    /// evidence-mass guard.
+    /// Always `false`: every conditional stream draws from the exact
+    /// posterior. Kept for `perfbench`, which reports the share of
+    /// likelihood-weighted streams through it.
     #[must_use]
     pub fn is_likelihood_weighted(&self) -> bool {
-        self.weighted
+        false
     }
 
     /// Advances past the next chunk without sampling it. Each chunk's RNG
@@ -537,45 +542,6 @@ impl RowStream<'_> {
             Some(keep) => keep.iter().map(|&attr| tuple[attr]).collect(),
             None => tuple.to_vec(),
         }
-    }
-
-    /// One likelihood-weighted output row: draws [`LW_CANDIDATES`] clamped
-    /// candidates into `cand`/`weights`, then copies one — picked with
-    /// probability proportional to its weight — into `out`. Retries up to
-    /// [`LW_MAX_ROUNDS`] rounds when every weight is zero (or non-finite),
-    /// then falls back to the last clamped candidate so a stream over
-    /// (near-)impossible evidence degrades to clamped rows instead of
-    /// panicking a serving worker mid-response.
-    fn weighted_row<R: Rng + ?Sized>(
-        &self,
-        tuple: &mut [u32],
-        cand: &mut [u32],
-        weights: &mut [f64],
-        out: &mut [u32],
-        rng: &mut R,
-    ) {
-        let d = tuple.len();
-        for _ in 0..LW_MAX_ROUNDS {
-            for c in 0..LW_CANDIDATES {
-                weights[c] = self.sampler.sample_row_clamped(tuple, &self.evidence, rng);
-                cand[c * d..(c + 1) * d].copy_from_slice(tuple);
-            }
-            let total: f64 = weights.iter().sum();
-            if total > 0.0 && total.is_finite() {
-                let mut u = rng.random::<f64>() * total;
-                let mut pick = LW_CANDIDATES - 1;
-                for (c, &w) in weights.iter().enumerate() {
-                    if u < w {
-                        pick = c;
-                        break;
-                    }
-                    u -= w;
-                }
-                out.copy_from_slice(&cand[pick * d..(pick + 1) * d]);
-                return;
-            }
-        }
-        out.copy_from_slice(&cand[(LW_CANDIDATES - 1) * d..]);
     }
 }
 
@@ -600,28 +566,21 @@ impl Iterator for RowStream<'_> {
         let mut tuple = vec![0u32; d];
         let mut rng = StdRng::seed_from_u64(chunk_seed(self.base, chunk_index));
         let mut chunk = Vec::with_capacity(len - skip);
-        if self.evidence.is_empty() {
-            for i in 0..len {
-                self.sampler.sample_row(&mut tuple, &mut rng);
-                if i >= skip {
-                    chunk.push(self.project(&tuple));
+        match &self.posterior {
+            None => {
+                for i in 0..len {
+                    self.sampler.sample_row(&mut tuple, &mut rng);
+                    if i >= skip {
+                        chunk.push(self.project(&tuple));
+                    }
                 }
             }
-        } else if !self.weighted {
-            for i in 0..len {
-                let _ = self.sampler.sample_row_clamped(&mut tuple, &self.evidence, &mut rng);
-                if i >= skip {
-                    chunk.push(self.project(&tuple));
-                }
-            }
-        } else {
-            let mut cand = vec![0u32; LW_CANDIDATES * d];
-            let mut weights = vec![0.0f64; LW_CANDIDATES];
-            let mut out = vec![0u32; d];
-            for i in 0..len {
-                self.weighted_row(&mut tuple, &mut cand, &mut weights, &mut out, &mut rng);
-                if i >= skip {
-                    chunk.push(self.project(&out));
+            Some(posterior) => {
+                for i in 0..len {
+                    self.sampler.sample_row_given(&mut tuple, posterior, &mut rng);
+                    if i >= skip {
+                        chunk.push(self.project(&tuple));
+                    }
                 }
             }
         }
@@ -784,6 +743,16 @@ mod tests {
             let r = synth.row(row);
             assert_eq!(r[1], u32::from(r[0] >= 2), "b must track c's level-1 group");
         }
+        // Evidence on b leaves c free in its closure, drawn from a bucket
+        // over c's raw codes: Pr*[c | b = 1] is uniform over {2, 3}.
+        let compiled = model.compile(data.schema()).unwrap();
+        let synth = compiled.sample_conditional(20_000, &[(1, 1)], &mut rng).unwrap();
+        let got = ContingencyTable::from_dataset(&synth, &[Axis::raw(0)]);
+        let want = crate::inference::model_conditional(&model, data.schema(), &[0], &[(1, 1)], 64)
+            .unwrap();
+        assert_eq!(want.values(), &[0.0, 0.0, 0.5, 0.5]);
+        let tvd = privbayes_marginals::total_variation(got.values(), want.values());
+        assert!(tvd < 0.02, "posterior over c must match inference, tvd = {tvd}");
     }
 
     #[test]
